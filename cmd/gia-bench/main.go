@@ -39,34 +39,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print a metrics snapshot to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
-	benchjson := flag.String("benchjson", "", "measure corpus-scan throughput (uncached / cold cache / warm cache) and write the JSON snapshot to this path, skipping the tables")
-	comparePath := flag.String("compare", "", "with -benchjson: diff the fresh run against this committed snapshot and report >20% regressions in explorer schedules/s or warm-scan throughput")
-	strict := flag.Bool("strict", false, "with -compare: exit non-zero when a regression exceeds the tolerance (CI mode; the default only warns)")
 	flag.Parse()
 
 	if *cache != "on" && *cache != "off" {
 		log.Fatalf("-cache=%q: want on or off", *cache)
-	}
-	if *benchjson != "" {
-		doc, err := runScanBench(*benchjson, *seed, *scale, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *comparePath != "" {
-			regressions, err := compareBench(doc, *comparePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "bench-compare: REGRESSION: "+r)
-			}
-			if len(regressions) == 0 {
-				fmt.Fprintf(os.Stderr, "bench-compare: within tolerance of %s\n", *comparePath)
-			} else if *strict {
-				os.Exit(1)
-			}
-		}
-		return
 	}
 
 	if *cpuprofile != "" {

@@ -70,9 +70,6 @@ func main() {
 		opts.Trace = tr
 	}
 	eng := analysis.NewEngineWithOptions(opts)
-	if opts.CacheCapacity == 0 && opts.Registry == nil && opts.Trace == nil {
-		eng = analysis.NewEngine()
-	}
 	if flag.NArg() > 0 {
 		os.Exit(lintFiles(eng, flag.Args(), *jsonOut))
 	}

@@ -12,16 +12,15 @@ type EngineOptions struct {
 	// bounded (LRU) to roughly that many distinct canonical sources.
 	// Template-shared corpora collapse to a few dozen entries, so even a
 	// small capacity turns a corpus re-scan into hash-and-rehydrate work.
+	// The canonicalizer guards the markers of DefaultRules
+	// (DefaultCanonMarkers): an engine whose custom rules match on other
+	// substrings or constants must run uncached.
 	CacheCapacity int
-	// CacheMarkers overrides the marker set guarding canonicalization.
-	// nil selects DefaultCanonMarkers(), which is sound for DefaultRules.
-	// An engine running custom rules with the cache enabled must supply
-	// markers covering every substring/constant those rules match on.
-	CacheMarkers []string
 	// Registry, when non-nil, re-homes the engine's telemetry onto it:
 	// scan counters under "analysis.scan.*" and — with the cache enabled —
-	// the two memo layers under "analysis.cache.raw.*" and
-	// "analysis.cache.canon.*". Equivalent to calling Observe afterwards.
+	// the analysis memo layer under "analysis.cache.canon.*" and the
+	// summary memo under "analysis.cache.summaries.*". Equivalent to
+	// calling Observe afterwards.
 	Registry *obs.Registry
 	// Trace, when non-nil, gives ScanCorpus workers wall-clock
 	// "scan/worker-K" tracks with one span per scanned artifact.
@@ -35,13 +34,8 @@ type EngineOptions struct {
 func NewEngineWithOptions(o EngineOptions, rules ...Rule) *Engine {
 	e := NewEngine(rules...)
 	if o.CacheCapacity > 0 {
-		markers := o.CacheMarkers
-		if markers == nil {
-			markers = DefaultCanonMarkers()
-		}
 		e.cache = &sourceCache{
-			canon: NewCanonicalizer(markers),
-			raw:   memo.New[cachedSource](o.CacheCapacity),
+			canon: NewCanonicalizer(DefaultCanonMarkers()),
 			table: memo.New[cachedSource](o.CacheCapacity),
 			sums:  memo.New[*ClassSummaries](o.CacheCapacity),
 		}
@@ -54,7 +48,7 @@ func NewEngineWithOptions(o EngineOptions, rules ...Rule) *Engine {
 // Observe re-homes the engine's telemetry onto reg: the per-scan counters
 // ("analysis.scan.files", ".instructions", ".findings", ".parse_errors"
 // and the ".cache.hits/misses/deduped" outcome split) plus, on a cached
-// engine, both memo layers. Values accumulated so far carry over. Call it
+// engine, its memo tables. Values accumulated so far carry over. Call it
 // before scanning concurrently; a nil registry is a no-op.
 func (e *Engine) Observe(reg *obs.Registry) {
 	if e == nil || reg == nil {
@@ -68,34 +62,25 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	obs.Rehome(reg, "analysis.scan.cache.misses", &e.met.cacheMisses)
 	obs.Rehome(reg, "analysis.scan.cache.deduped", &e.met.cacheDeduped)
 	if e.cache != nil {
-		e.cache.raw.Observe(reg, "analysis.cache.raw")
 		e.cache.table.Observe(reg, "analysis.cache.canon")
 		e.cache.sums.Observe(reg, "analysis.cache.summaries")
 	}
 }
 
-// CacheStats snapshots the engine's analysis-cache counters, summed over
-// both levels (the raw-content layer and the canonical-template layer).
-// ok is false for an uncached engine.
+// CacheStats snapshots the engine's analysis-cache counters. ok is false
+// for an uncached engine.
 func (e *Engine) CacheStats() (st memo.Stats, ok bool) {
 	if e.cache == nil {
 		return memo.Stats{}, false
 	}
-	r, t := e.cache.raw.Stats(), e.cache.table.Stats()
-	return memo.Stats{
-		Hits:      r.Hits + t.Hits,
-		Misses:    r.Misses + t.Misses,
-		Deduped:   r.Deduped + t.Deduped,
-		Evictions: r.Evictions + t.Evictions,
-		Entries:   r.Entries + t.Entries,
-	}, true
+	return e.cache.table.Stats(), true
 }
 
 // SummaryCacheStats snapshots the content-addressed summary-object cache —
 // the per-class interprocedural summaries the taint rules share across
 // template twins. It is reported separately from CacheStats because
 // summaries are only computed on template-level misses: its counters are
-// a strict subset of the analysis traffic, not a third serving level.
+// a strict subset of the analysis traffic, not a second serving level.
 func (e *Engine) SummaryCacheStats() (st memo.Stats, ok bool) {
 	if e.cache == nil {
 		return memo.Stats{}, false
@@ -111,16 +96,12 @@ type cachedSource struct {
 	stats    Stats
 }
 
-// sourceCache is the engine's two-level content-addressed analysis cache.
-// The raw level keys on (file name, exact bytes) and stores fully
-// rehydrated findings, so re-scanning an unchanged file — corpus re-scans,
-// multiple table renders over one corpus — costs one hash, one lookup and
-// one findings clone, skipping canonicalization entirely. The template
-// level keys on canonicalized bytes and is what collapses template-shared
-// corpora to a few dozen distinct analyses on first contact.
+// sourceCache is the engine's content-addressed analysis cache. It keys on
+// canonicalized bytes, which collapses template-shared corpora to a few
+// dozen distinct analyses on first contact; rehydrate re-attributes each
+// served analysis to the requesting file.
 type sourceCache struct {
 	canon *Canonicalizer
-	raw   *memo.Table[cachedSource]
 	table *memo.Table[cachedSource]
 	// sums caches per-class summary objects by the content address of the
 	// bytes the analysis actually ran on (canonical bytes on the template
@@ -128,43 +109,10 @@ type sourceCache struct {
 	sums *memo.Table[*ClassSummaries]
 }
 
-// analyze serves one file through the cache. The returned findings are
-// re-attributed to file with placeholders expanded, but the slice may be
-// SHARED with the cache entry: callers must copy the elements (as
-// ScanAPK's append does) before exposing a mutable slice. The reported
-// outcome is Hit only when an actual analysis was skipped at either
-// level; a raw-level miss that hits the template level is a Hit.
+// analyze serves one file through the cache: canonicalize, serve the
+// analysis from the table, rehydrate for this file. The returned findings
+// are the caller's own. The outcome is Hit when the analysis was skipped.
 func (c *sourceCache) analyze(e *Engine, file string, src []byte) ([]Finding, Stats, memo.Outcome, error) {
-	rawKey := memo.KeyOfNamed(file, src)
-	var inner memo.Outcome
-	v, outcome, err := c.raw.Do(rawKey, func() (cachedSource, error) {
-		findings, stats, o, err := c.analyzeShared(e, file, src)
-		inner = o
-		if err != nil {
-			return cachedSource{}, err
-		}
-		return cachedSource{findings: findings, stats: stats}, nil
-	})
-	if outcome == memo.Miss {
-		// The raw layer didn't have it; report how the template layer
-		// served the analysis instead (Hit for template twins).
-		outcome = inner
-	}
-	if err != nil {
-		return nil, Stats{Files: 1, ParseErrors: 1}, outcome, err
-	}
-	// The stored findings already carry this file's names (the raw key
-	// includes the file name), so no re-attribution is needed; the slice
-	// is returned as-is and stays owned by the cache entry.
-	if len(v.findings) == 0 {
-		return nil, v.stats, outcome, nil
-	}
-	return v.findings, v.stats, outcome, nil
-}
-
-// analyzeShared is the template-level path: canonicalize, serve from the
-// shared table, rehydrate for this file.
-func (c *sourceCache) analyzeShared(e *Engine, file string, src []byte) ([]Finding, Stats, memo.Outcome, error) {
 	canon, subs, canonOK := c.canon.Canonicalize(src)
 	key := memo.KeyOf(canon)
 	v, outcome, err := c.table.Do(key, func() (cachedSource, error) {

@@ -90,11 +90,6 @@ type Report struct {
 // analysis.
 func (e *Engine) AnalyzeSource(file, src string) ([]Finding, Stats, error) {
 	findings, stats, _, err := e.analyzeSourceBytes(file, []byte(src))
-	if e.cache != nil && len(findings) > 0 {
-		// analyzeSourceBytes may return a slice owned by a cache entry;
-		// hand the caller a private copy.
-		findings = append([]Finding(nil), findings...)
-	}
 	return findings, stats, err
 }
 

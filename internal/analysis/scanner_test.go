@@ -188,13 +188,22 @@ func TestScanCountersMatchStats(t *testing.T) {
 		t.Errorf("cache outcome sum = %d, files = %d", sum, stats.Stats.Files)
 	}
 
-	// CacheStats and the memo-layer registry counters must also agree.
+	// CacheStats and the memo-layer registry counters must also agree, and
+	// with one memo layer its outcomes are the per-file outcomes.
 	cs, ok := eng.CacheStats()
 	if !ok {
 		t.Fatal("cached engine reported no cache stats")
 	}
-	memoSum := snap.Counter("analysis.cache.raw.hits") + snap.Counter("analysis.cache.canon.hits")
-	if memoSum != cs.Hits {
-		t.Errorf("memo-layer registry hits = %d, CacheStats.Hits = %d", memoSum, cs.Hits)
+	for _, c := range []struct {
+		name      string
+		memo, eng int64
+	}{
+		{"hits", cs.Hits, int64(stats.CacheHits)},
+		{"misses", cs.Misses, int64(stats.CacheMisses)},
+		{"deduped", cs.Deduped, int64(stats.CacheDeduped)},
+	} {
+		if got := snap.Counter("analysis.cache.canon." + c.name); got != c.memo || got != c.eng {
+			t.Errorf("analysis.cache.canon.%s = %d, CacheStats = %d, ScanStats = %d", c.name, got, c.memo, c.eng)
+		}
 	}
 }

@@ -22,22 +22,6 @@ type Key [sha256.Size]byte
 // KeyOf hashes data into its content address.
 func KeyOf(data []byte) Key { return sha256.Sum256(data) }
 
-// KeyOfNamed hashes a (name, data) pair into one content address. Use it
-// when the cached value depends on an identifier as well as the content —
-// e.g. findings that carry the file name they were found in. The pair is
-// combined by hashing the two component digests, which cannot collide by
-// concatenation and keeps the hot path allocation-free (Sum256 does not
-// let its argument escape, so the name's byte conversion stays on the
-// caller's stack).
-func KeyOfNamed(name string, data []byte) Key {
-	nameSum := sha256.Sum256([]byte(name))
-	dataSum := sha256.Sum256(data)
-	var buf [2 * sha256.Size]byte
-	copy(buf[:sha256.Size], nameSum[:])
-	copy(buf[sha256.Size:], dataSum[:])
-	return sha256.Sum256(buf[:])
-}
-
 // Outcome says how a Do call was served.
 type Outcome int
 

@@ -119,7 +119,8 @@ func instrumentFleet(reg *obs.Registry) fleetMetrics {
 	}
 }
 
-// Fleet is the arena-backed Service implementation.
+// Fleet is the daemon's arena-backed device fleet, served over HTTP by
+// NewHandler.
 type Fleet struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -127,7 +128,7 @@ type Fleet struct {
 	shards []*shard
 	slos   []*shardSLO
 	flight *obs.Trace // ring-mode flight recorder; nil when disabled
-	hub    *obs.Hub
+	hub    *obs.Hub   // lifecycle/violation events (the GET /events source)
 	clock  obs.Clock
 	// dumpSeq numbers trigger-keyed dump files so concurrent triggers
 	// never collide on a name.
@@ -151,8 +152,6 @@ type Fleet struct {
 	reclaimStop chan struct{}
 	reclaimDone chan struct{}
 }
-
-var _ Service = (*Fleet)(nil)
 
 // NewFleet builds the shards and starts the idle-reclaim loop.
 func NewFleet(cfg Config) *Fleet {

@@ -14,14 +14,6 @@ import (
 // arena resets here, chaos replay violations inside the explorer — and
 // the same rings feed GET /devices/{id}/trace live.
 
-// FlightTrace exposes the fleet's flight-recorder trace (nil when the
-// recorder is disabled) — the loadtest telemetry flush reads it.
-func (f *Fleet) FlightTrace() *obs.Trace { return f.flight }
-
-// EventHub exposes the fleet's lifecycle/violation event hub (the
-// GET /events SSE source).
-func (f *Fleet) EventHub() *obs.Hub { return f.hub }
-
 // DeviceTrack returns the named device's flight-recorder ring.
 // ErrNotFound for unknown devices; a bad request when the recorder is
 // disabled. The track is internally synchronized, so readers never touch

@@ -11,7 +11,7 @@ import (
 	"github.com/ghost-installer/gia/internal/obs"
 )
 
-// handler adapts a Service to HTTP/JSON. Routes (Go 1.22 pattern mux):
+// handler adapts a Fleet to HTTP/JSON. Routes (Go 1.22 pattern mux):
 //
 //	POST   /devices               create/boot a device
 //	GET    /devices               list devices
@@ -28,41 +28,27 @@ import (
 //	GET    /events                fleet lifecycle/violation events (SSE)
 //	GET    /slo                   per-shard SLO aggregation (JSON)
 //	GET    /healthz               liveness probe
-//
-// The telemetry routes are capability-gated: a Service that also
-// implements FlightSource/EventSource/SLOSource (the Fleet does) gets
-// them; a bare Service answers 404 there.
 type handler struct {
-	svc      Service
+	fleet    *Fleet
 	reg      *obs.Registry
 	requests *obs.Counter
 	errors   *obs.Counter
-}
-
-// FlightSource is the capability behind GET /devices/{id}/trace.
-type FlightSource interface {
-	DeviceTrack(id string) (*obs.Track, error)
-}
-
-// EventSource is the capability behind GET /events.
-type EventSource interface {
-	EventHub() *obs.Hub
-}
-
-// SLOSource is the capability behind GET /slo (and the -watch summary).
-type SLOSource interface {
-	SLO() SLOReport
 }
 
 // tracePollInterval paces the ?follow=1 ring poll: low enough to feel
 // live, high enough that an idle follower costs nothing measurable.
 const tracePollInterval = 100 * time.Millisecond
 
-// NewHandler builds the HTTP layer over svc. reg is rendered by
+// maxBodyBytes bounds a request body. Every request type is a few short
+// JSON fields, so a larger body is a broken or hostile client: it gets a
+// 400 instead of being buffered whole.
+const maxBodyBytes = 64 << 10
+
+// NewHandler builds the HTTP layer over fleet. reg is rendered by
 // GET /metrics and receives the serve.http.* counters; nil disables both.
-func NewHandler(svc Service, reg *obs.Registry) http.Handler {
+func NewHandler(fleet *Fleet, reg *obs.Registry) http.Handler {
 	h := &handler{
-		svc:      svc,
+		fleet:    fleet,
 		reg:      reg,
 		requests: reg.Counter("serve.http.requests"),
 		errors:   reg.Counter("serve.http.errors"),
@@ -91,11 +77,11 @@ func (h *handler) count(next http.Handler) http.Handler {
 	})
 }
 
-// readJSON decodes an optional JSON body into v; an empty body (io.EOF on
-// the first token) is the zero request, so clients may POST without a body
-// for all-default operations.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// readJSON decodes an optional JSON body of at most maxBodyBytes into v; an
+// empty body (io.EOF on the first token) is the zero request, so clients
+// may POST without a body for all-default operations.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
 		return badRequestf("decode body: %v", err)
@@ -127,11 +113,11 @@ func (h *handler) writeErr(w http.ResponseWriter, err error) {
 
 func (h *handler) createDevice(w http.ResponseWriter, r *http.Request) {
 	var req CreateDeviceRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	info, err := h.svc.CreateDevice(req)
+	info, err := h.fleet.CreateDevice(req)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -140,7 +126,7 @@ func (h *handler) createDevice(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) listDevices(w http.ResponseWriter, r *http.Request) {
-	devices := h.svc.Devices()
+	devices := h.fleet.Devices()
 	h.writeJSON(w, http.StatusOK, map[string]any{
 		"devices": devices,
 		"count":   len(devices),
@@ -148,7 +134,7 @@ func (h *handler) listDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) getDevice(w http.ResponseWriter, r *http.Request) {
-	info, err := h.svc.Device(r.PathValue("id"))
+	info, err := h.fleet.Device(r.PathValue("id"))
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -157,7 +143,7 @@ func (h *handler) getDevice(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) deleteDevice(w http.ResponseWriter, r *http.Request) {
-	if err := h.svc.DeleteDevice(r.PathValue("id")); err != nil {
+	if err := h.fleet.DeleteDevice(r.PathValue("id")); err != nil {
 		h.writeErr(w, err)
 		return
 	}
@@ -166,11 +152,11 @@ func (h *handler) deleteDevice(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) install(w http.ResponseWriter, r *http.Request) {
 	var req InstallRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	res, err := h.svc.Install(r.PathValue("id"), req)
+	res, err := h.fleet.Install(r.PathValue("id"), req)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -180,11 +166,11 @@ func (h *handler) install(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) attack(w http.ResponseWriter, r *http.Request) {
 	var req AttackRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	res, err := h.svc.Attack(r.PathValue("id"), req)
+	res, err := h.fleet.Attack(r.PathValue("id"), req)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -193,7 +179,7 @@ func (h *handler) attack(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) timeline(w http.ResponseWriter, r *http.Request) {
-	entries, err := h.svc.Timeline(r.PathValue("id"))
+	entries, err := h.fleet.Timeline(r.PathValue("id"))
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -206,7 +192,7 @@ func (h *handler) timeline(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) replay(w http.ResponseWriter, r *http.Request) {
 	var req ReplayRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
@@ -214,7 +200,7 @@ func (h *handler) replay(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, badRequestf("missing token"))
 		return
 	}
-	res, err := h.svc.Replay(req)
+	res, err := h.fleet.Replay(req)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -241,13 +227,8 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 // ring with EventsSince, flushing new events until the client goes away
 // or the device is reclaimed.
 func (h *handler) deviceTrace(w http.ResponseWriter, r *http.Request) {
-	fs, ok := h.svc.(FlightSource)
-	if !ok {
-		http.Error(w, "flight recorder unavailable", http.StatusNotFound)
-		return
-	}
 	id := r.PathValue("id")
-	k, err := fs.DeviceTrack(id)
+	k, err := h.fleet.DeviceTrack(id)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -280,7 +261,7 @@ func (h *handler) deviceTrace(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(tracePollInterval):
 		}
 		// A reclaimed device ends the stream (its ring was dropped).
-		if _, err := fs.DeviceTrack(id); err != nil {
+		if _, err := h.fleet.DeviceTrack(id); err != nil {
 			return
 		}
 	}
@@ -290,12 +271,7 @@ func (h *handler) deviceTrace(w http.ResponseWriter, r *http.Request) {
 // HubEvent JSON per event. Slow consumers drop events rather than stall
 // the fleet (the hub's non-blocking contract).
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
-	es, ok := h.svc.(EventSource)
-	if !ok || es.EventHub() == nil {
-		http.Error(w, "event stream unavailable", http.StatusNotFound)
-		return
-	}
-	hub := es.EventHub()
+	hub := h.fleet.hub
 	sub := hub.Subscribe(64)
 	defer hub.Unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -329,12 +305,7 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 
 // slo serves the per-shard SLO aggregation.
 func (h *handler) slo(w http.ResponseWriter, r *http.Request) {
-	src, ok := h.svc.(SLOSource)
-	if !ok {
-		http.Error(w, "slo unavailable", http.StatusNotFound)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, src.SLO())
+	h.writeJSON(w, http.StatusOK, h.fleet.SLO())
 }
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {

@@ -79,16 +79,18 @@ func TestShardOwnershipSerializesConcurrentOps(t *testing.T) {
 
 // Creates, deletes and status calls racing across devices and shards:
 // the fleet registry (map + placement) is mutex-guarded while simulation
-// work stays shard-owned.
+// work stays shard-owned, and reclaimed devices come back warm from the
+// shard arenas under that churn.
 func TestConcurrentLifecycleAcrossShards(t *testing.T) {
-	f := newTestFleet(t, Config{Shards: 3, Seed: 9, Registry: obs.NewRegistry()})
-	const workers = 6
+	reg := obs.NewRegistry()
+	const shards, workers, rounds = 3, 6, 10
+	f := newTestFleet(t, Config{Shards: shards, Seed: 9, Registry: reg})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 4; i++ {
+			for i := 0; i < rounds; i++ {
 				info, err := f.CreateDevice(CreateDeviceRequest{})
 				if err != nil {
 					t.Errorf("create: %v", err)
@@ -108,5 +110,19 @@ func TestConcurrentLifecycleAcrossShards(t *testing.T) {
 	wg.Wait()
 	if n := len(f.Devices()); n != 0 {
 		t.Fatalf("devices leaked: %d", n)
+	}
+
+	// Every create acquires exactly once: a pooled reset (hit) or a boot
+	// (miss). A shard boots only when its pool is empty, that is when every
+	// device it ever booted is held by another worker, and a worker holds at
+	// most one device. So no shard boots more than `workers` devices,
+	// whatever the interleaving, and the remaining creates are warm hits.
+	snap := reg.Snapshot()
+	hits, misses := snap.Counter("arena.hits"), snap.Counter("arena.misses")
+	if hits+misses != workers*rounds {
+		t.Fatalf("arena acquisitions = %d hits + %d misses, want %d creates", hits, misses, workers*rounds)
+	}
+	if misses > shards*workers {
+		t.Fatalf("arena.misses = %d, want <= %d: reclaimed devices were not reused", misses, shards*workers)
 	}
 }

@@ -319,6 +319,22 @@ func TestHTTPAPI(t *testing.T) {
 	if resp := post("/devices", CreateDeviceRequest{Store: "bogus"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad store: status %d, want 400", resp.StatusCode)
 	}
+
+	// A body over the size limit is refused with a 400, though it is valid
+	// JSON for a default create, and the fleet keeps serving the next
+	// request.
+	huge := strings.Repeat(" ", maxBodyBytes) + "{}"
+	resp, err = http.Post(srv.URL+"/devices", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post("/devices", CreateDeviceRequest{}, &info); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create after oversized body: status %d", resp.StatusCode)
+	}
 }
 
 func TestDeviceInfoJSONShape(t *testing.T) {

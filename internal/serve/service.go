@@ -1,15 +1,15 @@
 // Package serve turns the simulation library into a long-running fleet
-// daemon: a Service manages thousands of concurrent simulated devices
+// daemon: a Fleet manages thousands of concurrent simulated devices
 // behind a lifecycle API, drives install transactions and GIA attacks on
 // them, replays chaos tokens, and exposes the internal/obs registry.
 //
-// The layering follows the gbox api-server shape named in ROADMAP.md:
-// a service interface (this file), an arena-backed implementation
-// (fleet.go, shard.go) and HTTP handlers over it (http.go). Devices live
-// on goroutine-owned shards — one device arena per shard goroutine — so
-// the not-concurrency-safe arena/sim contract is never violated no matter
-// how many HTTP clients hit the same device at once: every per-device
-// operation is a closure executed on the owning shard's goroutine.
+// The layering: the API's request and result types (this file), the
+// arena-backed Fleet (fleet.go, shard.go) and HTTP handlers over it
+// (http.go). Devices live on goroutine-owned shards — one device arena
+// per shard goroutine — so the not-concurrency-safe arena/sim contract is
+// never violated no matter how many HTTP clients hit the same device at
+// once: every per-device operation is a closure executed on the owning
+// shard's goroutine.
 package serve
 
 import (
@@ -22,7 +22,7 @@ import (
 	"github.com/ghost-installer/gia/internal/installer"
 )
 
-// Service errors, mapped onto HTTP statuses by the handler layer.
+// Fleet errors, mapped onto HTTP statuses by the handler layer.
 var (
 	// ErrNotFound reports an unknown (or already reclaimed) device ID.
 	ErrNotFound = errors.New("serve: device not found")
@@ -138,20 +138,6 @@ type TimelineEntry struct {
 	AtMs   float64 `json:"at_ms"`
 	Source string  `json:"source"`
 	Detail string  `json:"detail"`
-}
-
-// Service is the fleet lifecycle contract the HTTP layer (and the load
-// generator) is written against.
-type Service interface {
-	CreateDevice(req CreateDeviceRequest) (DeviceInfo, error)
-	Device(id string) (DeviceInfo, error)
-	Devices() []DeviceInfo
-	// DeleteDevice reclaims the device to its shard's arena pool.
-	DeleteDevice(id string) error
-	Install(id string, req InstallRequest) (InstallResult, error)
-	Attack(id string, req AttackRequest) (AttackResult, error)
-	Timeline(id string) ([]TimelineEntry, error)
-	Replay(req ReplayRequest) (ReplayResult, error)
 }
 
 // storeProfiles maps API store names to installer profiles.

@@ -62,8 +62,8 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.FlightTrace() != nil {
-		t.Error("FlightTrace non-nil with recorder disabled")
+	if f.flight != nil {
+		t.Error("flight recorder non-nil with recorder disabled")
 	}
 	if _, err := f.DeviceTrack(info.ID); err == nil {
 		t.Error("DeviceTrack must report the recorder disabled")
@@ -356,7 +356,7 @@ func TestReplayViolationDumpsFlightRecorder(t *testing.T) {
 		t.Error("dump lacks the AIT step events")
 	}
 	// The replay's run track was dropped after the dump.
-	for _, k := range f.FlightTrace().Tracks() {
+	for _, k := range f.flight.Tracks() {
 		if strings.HasPrefix(k.Name(), "run/") {
 			t.Errorf("replay run track leaked: %s", k.Name())
 		}

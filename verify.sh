@@ -26,10 +26,19 @@ go run ./cmd/gia-vet
 echo "== go build ./... =="
 go build ./...
 
+echo "== benchmark vet (its own module over this one) =="
+# The benchmark is a separate module that replaces this one with ../, so
+# the root build never compiles it; vet it here so a root API change that
+# breaks the benchmark fails the gate. Offline: the module has no other
+# dependency.
+GOWORK=off GOPROXY=off go -C benchmark vet .
+
 echo "== go test -race -count=2 ./... =="
 # -count=2 defeats the test cache and catches order- or state-dependent
 # flakes in the race-enabled suite (golden traces, the defense matrix and
-# the chaos sweeps must be bit-identical run over run).
+# the chaos sweeps must be bit-identical run over run). This run covers
+# every parity, equivalence, soundness and truth-set test by itself; only
+# the allocation budgets skip under race and get their own gate below.
 go test -race -count=2 ./...
 
 echo "== bench smoke (worker-pool engine under race, 1 iteration) =="
@@ -53,63 +62,6 @@ go test -run '^TestRingAppendZeroAlloc$' -count=1 ./internal/obs
 # arena device must stay within its pinned object budget.
 go test -run '^TestSchedulerAllocBudget$' -count=1 ./internal/sim
 go test -run '^TestAITAllocBudget$' -count=1 ./internal/experiment
-
-echo "== arena reset equivalence (race-enabled) =="
-# A pooled device reset in place must be indistinguishable from a fresh
-# boot: byte-identical state fingerprints across every GIA x defense cell
-# and fault plan, plus the restored seeded RNG stream.
-go test -race -count=1 \
-    -run '^(TestArenaResetEquivalence|TestDeviceResetRestoresRNGStream)$' \
-    ./internal/devicetest
-go test -race -count=1 -run '^TestFastSourceMatchesMathRand$' ./internal/sim
-
-echo "== serve shard ownership (race-enabled) =="
-# The fleet daemon multiplexes racy HTTP goroutines onto goroutine-owned
-# arena shards; this pins the ownership discipline under the race
-# detector explicitly (the simulation substrates are not thread-safe, so
-# any fleet code touching device state off its shard goroutine is a
-# detected race, not a flake).
-go test -race -count=1 \
-    -run '^(TestShardOwnershipSerializesConcurrentOps|TestConcurrentLifecycleAcrossShards)$' \
-    ./internal/serve
-
-echo "== trace/metrics parity across worker counts =="
-# A virtual-only trace, its JSONL export and the metrics snapshot must be
-# byte-identical at 1 worker and at NumCPU workers.
-go test -count=1 -run '^TestTraceParityAcrossWorkers$' ./internal/chaos
-# Flight-recorder determinism: the violation dumps (Chrome trace + JSONL,
-# keyed by replay token) for the golden TOCTOU fault workload must be
-# byte-identical at 1 worker and at NumCPU workers.
-go test -count=1 -run '^TestFlightDumpParityAcrossWorkers$' ./internal/experiment
-
-echo "== POR soundness + stealing determinism (race-enabled) =="
-# Partial-order reduction may only prune orderings an explored ordering
-# already decides: reduced vs exhaustive exploration must agree on the
-# violation set and minimized tokens, on synthetic commuting worlds and on
-# the golden wait-and-see AIT workload. The work-stealing frontier must
-# report an identical Result at 1 worker and NumCPU workers and hold the
-# MaxSchedules cap exactly while stealing.
-go test -race -count=1 \
-    -run '^(TestExploreOrdersPORSoundness|TestFrontierStealDeterministicResult|TestMaxSchedulesTruncatesUnderStealing)$' \
-    ./internal/chaos
-go test -count=1 -run '^TestPORSoundnessGoldenWorkload$' ./internal/experiment
-
-echo "== analysis-cache parity =="
-# Cached and uncached scans must be byte-identical: full-output diff at 1
-# and NumCPU workers, plus the rendered -cache=on vs -cache=off tables.
-go test -count=1 -run '^(TestCachedMatchesUncached|TestCacheTableParity)$' \
-    ./internal/measure ./internal/experiment
-
-echo "== summary-cache parity (interprocedural summaries) =="
-# The per-class taint summaries are memoized content-addressed; findings
-# and threat scores through the caching engine must equal a plain one's.
-go test -count=1 -run '^TestSummaryCacheParity$' ./internal/analysis
-
-echo "== taint truth-set accuracy (100% required) =="
-# Every hand-labelled TP/TN case for the taint and anti-repackaging
-# detectors must classify correctly — accuracy below 100% fails the gate.
-go test -count=1 -run '^(TestTruthSetAccuracy|TestTruthSetCoversBothPolarities)$' \
-    ./internal/measure
 
 echo "== cache smoke under race (warm corpus scan, NumCPU workers) =="
 # Two race-enabled warm scans through the shared cache: concurrent hits,
@@ -199,19 +151,5 @@ if [ -n "${targets:-}" ]; then
     echo "verify.sh: fuzz targets not attributed to any package:${targets}" >&2
     exit 1
 fi
-
-echo "== bench compare (soft gate; STRICT_BENCH=1 to enforce) =="
-# Fresh throughput snapshot diffed against the committed BENCH_scan.json:
-# a >20% drop in explorer schedules/s or warm-scan throughput prints a
-# REGRESSION warning. Warn-only by default — committed numbers come from a
-# particular host — and a hard failure when STRICT_BENCH=1 (CI).
-benchtmp=$(mktemp)
-go run ./cmd/gia-bench -benchjson "$benchtmp" -compare BENCH_scan.json \
-    ${STRICT_BENCH:+-strict} || {
-    rm -f "$benchtmp"
-    echo "verify.sh: bench compare failed" >&2
-    exit 1
-}
-rm -f "$benchtmp"
 
 echo "verify.sh: all checks passed"
