@@ -54,6 +54,38 @@ func Example_fusePatch() {
 	// replacements: 0
 }
 
+// Example_dapp deploys the unprivileged DAPP defense (Section V-B) against
+// the same attack: the hijack lands, but DAPP flags the suspicious
+// replacement during the transaction and the signer change once the
+// PACKAGE_ADDED broadcast arrives, which is after the installer has
+// already reported its result.
+func Example_dapp() {
+	scenario, err := gia.NewScenario(gia.AmazonProfile(), 44)
+	if err != nil {
+		panic(err)
+	}
+	dapp, err := gia.DeployDAPP(scenario.Dev, []string{gia.AmazonProfile().StagingDir})
+	if err != nil {
+		panic(err)
+	}
+	cfg := gia.AttackConfigForStore(gia.AmazonProfile(), gia.StrategyFileObserver)
+	atk := gia.NewTOCTOU(scenario.Mal, cfg, scenario.Target)
+	if err := atk.Launch(); err != nil {
+		panic(err)
+	}
+	defer atk.Stop()
+
+	res := scenario.RunAIT()
+	fmt.Println("hijacked:", res.Hijacked, "detected:", dapp.Thwarted(res.Requested))
+	for _, alert := range dapp.Alerts() {
+		fmt.Printf("%s %s (%s)\n", alert.Kind, alert.Package, alert.Detail)
+	}
+	// Output:
+	// hijacked: true detected: true
+	// race-suspected com.popular.app (MOVED_TO on staged apk 457ms after download)
+	// signature-mismatch com.popular.app (downloaded signer 75503674, installed signer cb486b99)
+}
+
 // Example_classifier runs the Section IV installer classifier over a
 // paper-scale corpus.
 func Example_classifier() {

@@ -100,7 +100,9 @@ const DBPath = "/data/data/com.android.providers.downloads/databases/downloads.d
 // UID: acquiring its file-access privilege is the point of the attack.
 const ManagerUID vfs.UID = 1001
 
-// Fetcher retrieves remote content by URL (implemented by the market).
+// Fetcher retrieves remote content by URL (implemented by the market). The
+// returned bytes must never be modified afterwards: downloads stage them
+// with vfs.Handle.WriteShared instead of copying them.
 type Fetcher interface {
 	Fetch(url string) ([]byte, error)
 }
@@ -382,7 +384,7 @@ func (m *Manager) writeChunks(d *Download, h *vfs.Handle, rest []byte, done func
 			_ = h.Close()
 			return
 		}
-		if _, err := h.Write(rest[:n]); err != nil {
+		if _, err := h.WriteShared(rest[:n]); err != nil {
 			_ = h.Close()
 			m.finish(d, fmt.Errorf("dm: write chunk: %w", err), done)
 			return

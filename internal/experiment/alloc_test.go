@@ -1,12 +1,49 @@
 package experiment
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/ghost-installer/gia/internal/arena"
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/installer"
 )
+
+// warmSchedule returns one complete Amazon AIT hijack schedule on a warm
+// arena device, each call on the next seed, after running it once: the
+// first acquisition boots the device, and the process-wide memo caches
+// (signing keys, repackaged APKs, market listings, the published target)
+// fill.
+func warmSchedule(t *testing.T, strategy attack.Strategy, payload []byte) func() {
+	t.Helper()
+	a := arena.New(ScenarioDeviceProfile(0))
+	prof := installer.Amazon()
+	seed := int64(0)
+	one := func() {
+		seed++
+		dev, err := a.Acquire(seed)
+		if err != nil {
+			t.Fatalf("acquire: %v", err)
+		}
+		s, err := NewScenarioPayloadOn(dev, prof, payload)
+		if err != nil {
+			t.Fatalf("scenario: %v", err)
+		}
+		atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, strategy), s.Target)
+		if err := atk.Launch(); err != nil {
+			t.Fatalf("launch: %v", err)
+		}
+		res := s.RunAIT()
+		atk.Stop()
+		a.Release(dev)
+		if !res.Hijacked {
+			t.Fatalf("hijack missed under seed %d: %v", seed, res.Err)
+		}
+	}
+	one()
+	return one
+}
 
 // TestAITAllocBudget pins the allocation cost of one complete AIT hijack
 // schedule on a warm arena device — the unit of work every chaos sweep and
@@ -18,36 +55,8 @@ func TestAITAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	a := arena.New(ScenarioDeviceProfile(0))
-	prof := installer.Amazon()
-	seed := int64(1)
-	oneSchedule := func() {
-		dev, err := a.Acquire(seed)
-		if err != nil {
-			t.Fatalf("acquire: %v", err)
-		}
-		s, err := NewScenarioPayloadOn(dev, prof, nil)
-		if err != nil {
-			t.Fatalf("scenario: %v", err)
-		}
-		atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, attack.StrategyFileObserver), s.Target)
-		if err := atk.Launch(); err != nil {
-			t.Fatalf("launch: %v", err)
-		}
-		res := s.RunAIT()
-		atk.Stop()
-		a.Release(dev)
-		if !res.Hijacked {
-			t.Fatalf("hijack missed under seed %d: %v", seed, res.Err)
-		}
-	}
-	// Warm up: first acquisition boots the device, and the process-wide
-	// memo caches (signing keys, repackaged APKs, market listings) fill.
-	oneSchedule()
-	perAIT := testing.AllocsPerRun(100, func() {
-		seed++
-		oneSchedule()
-	})
+	one := warmSchedule(t, attack.StrategyFileObserver, nil)
+	perAIT := testing.AllocsPerRun(100, one)
 	// Measured ~76 objects/schedule after the residual-allocator pass
 	// (path-string reuse, node slab, closure hoisting, lazy rng seeding);
 	// ~2.5x headroom.
@@ -56,4 +65,37 @@ func TestAITAllocBudget(t *testing.T) {
 		t.Fatalf("one AIT schedule allocates %.0f objects, budget %.0f", perAIT, budget)
 	}
 	t.Logf("per-AIT allocations: %.0f (budget %.0f)", perAIT, budget)
+}
+
+// TestOrdersAllocBudget pins the cost of one schedule of the explore-orders
+// workload's transaction: the wait-and-see poller against a 900 KiB,
+// 15-chunk download. Both budgets sit at ~2.5x the measured value, so one
+// copy of the payload (900 KiB) or a drive that keeps ticking the poller
+// after the install (three objects per 50 ms tick to the 2-minute horizon)
+// fails it.
+func TestOrdersAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	one := warmSchedule(t, attack.StrategyWaitAndSee, bytes.Repeat([]byte("x"), 900<<10))
+	objects := testing.AllocsPerRun(50, one)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		one()
+	}
+	runtime.ReadMemStats(&after)
+	perSchedule := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	// Measured 161 objects and ~10 KB per schedule; before the drive ended
+	// at quiescence and the download stopped copying, ~7,300 and ~4.5 MB.
+	const objectBudget, byteBudget = 400.0, 25_000.0
+	t.Logf("per-schedule allocations: %.0f objects (budget %.0f), %.0f bytes (budget %.0f)",
+		objects, objectBudget, perSchedule, byteBudget)
+	if objects > objectBudget {
+		t.Fatalf("one orders schedule allocates %.0f objects, budget %.0f", objects, objectBudget)
+	}
+	if perSchedule > byteBudget {
+		t.Fatalf("one orders schedule allocates %.0f bytes, budget %.0f", perSchedule, byteBudget)
+	}
 }

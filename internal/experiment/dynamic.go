@@ -18,7 +18,8 @@ import (
 )
 
 // horizon bounds each simulated run: attacker pollers never drain the
-// event queue on their own.
+// event queue on their own, so a drive that never goes idle (a transaction
+// that never completes) stops here.
 const horizon = 2 * time.Minute
 
 // TargetPackage is the app the stores deliver in dynamic scenarios.
@@ -109,11 +110,18 @@ func NewScenarioPayloadOn(dev *device.Device, prof installer.Profile, payload []
 	return &Scenario{Dev: dev, Store: store, Mal: mal, Target: target}, nil
 }
 
-// RunAIT triggers one installation of the target and drives the clock.
+// RunAIT triggers one installation of the target and drives the clock
+// until the transaction has produced its Result and only poller ticks
+// remain queued, or one horizon forward if it never completes. Everything
+// the install set in motion still runs (the PACKAGE_ADDED broadcast and
+// the DAPP check it triggers, strikes already scheduled, pre-staging); a
+// poller's later ticks are not simulated, so Sched.Now afterwards is the
+// time of the last event that ran, not the horizon.
 func (s *Scenario) RunAIT() installer.Result {
 	var res installer.Result
-	s.Store.RequestInstall(TargetPackage, func(r installer.Result) { res = r })
-	s.Dev.Sched.RunUntil(s.Dev.Sched.Now() + horizon)
+	done := false
+	s.Store.RequestInstall(TargetPackage, func(r installer.Result) { res, done = r, true })
+	s.Dev.Sched.RunUntilIdle(s.Dev.Sched.Now()+horizon, func() bool { return done })
 	return res
 }
 

@@ -310,7 +310,9 @@ func (a *App) stagingName(target string) string {
 }
 
 // selfDownload models the store's own HTTP download: chunked writes on the
-// virtual clock, same observable event stream as the DM.
+// virtual clock, same observable event stream as the DM. The hosted bytes
+// are immutable, so each chunk is written with WriteShared and the staged
+// file stays a view of them until something else writes to it.
 func (a *App) selfDownload(url, dest string, mode vfs.Mode, done func(error)) {
 	data, err := a.Dev.Market.Fetch(url)
 	if err != nil {
@@ -347,7 +349,7 @@ func (a *App) selfDownload(url, dest string, mode vfs.Mode, done func(error)) {
 		}
 		chunkTime := time.Duration(float64(n) / float64(selfBytesPerSec) * float64(time.Second))
 		a.Dev.Sched.AfterFnTagged(chunkTime, fp, func() {
-			if _, err := h.Write(rest[:n]); err != nil {
+			if _, err := h.WriteShared(rest[:n]); err != nil {
 				_ = h.Close()
 				done(fmt.Errorf("installer: write chunk: %w", err))
 				return

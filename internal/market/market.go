@@ -35,6 +35,18 @@ type Listing struct {
 	// ManifestHash is what installPackageWithVerification-style callers
 	// pass to the PMS.
 	ManifestHash sig.Digest
+	// encoded is the immutable buffer ContentHash was computed from (see
+	// IsContent).
+	encoded []byte
+}
+
+// IsContent reports whether data is the very buffer the listing's
+// ContentHash was computed from: the same first byte and the same length.
+// The buffer is immutable, so such data needs no re-hash. Equal bytes held
+// anywhere else (a copy, a fresh Fetch of the URL, which a re-publish can
+// repoint) do not count.
+func (l Listing) IsContent(data []byte) bool {
+	return len(data) > 0 && len(data) == len(l.encoded) && &data[0] == &l.encoded[0]
 }
 
 // Server hosts one store's catalog.
@@ -87,6 +99,7 @@ func (s *Server) Publish(a *apk.APK) Listing {
 			SizeBytes:    int64(len(encoded)),
 			ContentHash:  a.EncodedDigest(),
 			ManifestHash: a.ManifestDigest(),
+			encoded:      encoded,
 		}
 		listingCache.Lock()
 		if listingCache.m == nil {

@@ -271,6 +271,9 @@ func (f *Fleet) CreateDevice(req CreateDeviceRequest) (DeviceInfo, error) {
 	if err != nil {
 		return DeviceInfo{}, err
 	}
+	if err := checkPayload(req.PayloadBytes); err != nil {
+		return DeviceInfo{}, err
+	}
 	if err := f.begin(); err != nil {
 		return DeviceInfo{}, err
 	}
@@ -447,6 +450,9 @@ func (f *Fleet) DeleteDevice(id string) error {
 // Install publishes a fresh package on the device's store and drives one
 // clean install transaction to completion.
 func (f *Fleet) Install(id string, req InstallRequest) (InstallResult, error) {
+	if err := checkPayload(req.PayloadBytes); err != nil {
+		return InstallResult{}, err
+	}
 	var out InstallResult
 	err := f.withDevice(id, func(d *managedDevice) error {
 		start := f.clock()
@@ -555,7 +561,9 @@ func (f *Fleet) Attack(id string, req AttackRequest) (AttackResult, error) {
 }
 
 // driveAIT submits one install of pkg and drives the device's clock one
-// horizon forward. Shard-goroutine only.
+// horizon forward. Unlike experiment's RunAIT it does not stop once the
+// transaction is quiescent: a fleet device outlives the transaction and
+// reports its clock as virtual_ms. Shard-goroutine only.
 func driveAIT(d *managedDevice, pkg string) (installer.Result, bool) {
 	var res installer.Result
 	completed := false

@@ -335,6 +335,26 @@ func TestHTTPAPI(t *testing.T) {
 	if resp := post("/devices", CreateDeviceRequest{}, &info); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create after oversized body: status %d", resp.StatusCode)
 	}
+
+	// payload_bytes above the limit is refused with a 400 on both routes
+	// that materialize a payload; exactly the limit still succeeds.
+	if resp := post("/devices", CreateDeviceRequest{PayloadBytes: maxPayloadBytes + 1}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create over payload limit: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post("/devices/"+info.ID+"/install", InstallRequest{PayloadBytes: maxPayloadBytes + 1}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("install over payload limit: status %d, want 400", resp.StatusCode)
+	}
+	var big DeviceInfo
+	if resp := post("/devices", CreateDeviceRequest{PayloadBytes: maxPayloadBytes}, &big); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create at payload limit: status %d", resp.StatusCode)
+	}
+	ins = InstallResult{}
+	if resp := post("/devices/"+big.ID+"/install", InstallRequest{PayloadBytes: maxPayloadBytes}, &ins); resp.StatusCode != http.StatusOK {
+		t.Fatalf("install at payload limit: status %d", resp.StatusCode)
+	}
+	if !ins.Clean {
+		t.Fatalf("install at payload limit not clean: %+v", ins)
+	}
 }
 
 func TestDeviceInfoJSONShape(t *testing.T) {

@@ -37,6 +37,20 @@ var (
 // experiment package's horizon).
 const txHorizon = 2 * time.Minute
 
+// maxPayloadBytes bounds payload_bytes on create and install: the shard
+// materializes the payload in memory, so an unbounded value lets a tiny
+// request allocate gigabytes. 4 MiB is well above the 900 KiB the studies
+// use.
+const maxPayloadBytes = 4 << 20
+
+// checkPayload rejects a payload_bytes value above maxPayloadBytes.
+func checkPayload(n int) error {
+	if n > maxPayloadBytes {
+		return badRequestf("payload_bytes %d exceeds the limit of %d", n, maxPayloadBytes)
+	}
+	return nil
+}
+
 // CreateDeviceRequest configures a new fleet device.
 type CreateDeviceRequest struct {
 	// Store selects the installer profile (see StoreNames); default
@@ -50,7 +64,8 @@ type CreateDeviceRequest struct {
 	// accumulates entries for every transaction it runs.
 	Timeline bool `json:"timeline,omitempty"`
 	// PayloadBytes sizes the published target APK's classes.dex; payloads
-	// over 64 KiB make downloads multi-chunk. 0 means a minimal payload.
+	// over 64 KiB make downloads multi-chunk. 0 means a minimal payload;
+	// more than 4 MiB is refused.
 	PayloadBytes int `json:"payload_bytes,omitempty"`
 }
 
@@ -75,7 +90,8 @@ type DeviceInfo struct {
 // publishes a fresh package per transaction (repeated installs of one
 // immutable package would be version-downgrade no-ops).
 type InstallRequest struct {
-	// PayloadBytes sizes the app payload; 0 uses a small default.
+	// PayloadBytes sizes the app payload; 0 uses a small default, and more
+	// than 4 MiB is refused.
 	PayloadBytes int `json:"payload_bytes,omitempty"`
 }
 

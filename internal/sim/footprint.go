@@ -108,7 +108,7 @@ func (s *Scheduler) SetTaggedArbiter(a TaggedArbiter) {
 // the tagging contract above). Fault-injected duplicates inherit the
 // footprint: a duplicate has the same effects as its original.
 func (s *Scheduler) AtFnTagged(t time.Duration, fp Footprint, fn func()) {
-	s.schedule(t, fn, fp)
+	s.schedule(t, fn, fp, false)
 }
 
 // AfterFnTagged is AfterFn with a footprint attached.

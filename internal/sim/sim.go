@@ -40,8 +40,8 @@ type Metrics struct {
 // installed, which gives stable, deterministic traces.
 //
 // A Scheduler is safe for concurrent use, although the intended model is
-// single-threaded: callbacks run on the goroutine that calls Run, Step or
-// RunUntil, and may schedule further events.
+// single-threaded: callbacks run on the goroutine that calls Run, Step,
+// RunUntil or RunUntilIdle, and may schedule further events.
 //
 // Internally, pending events live in a hierarchical timer wheel and fired
 // events are recycled through a free list, so the steady-state hot path
@@ -66,6 +66,11 @@ type Scheduler struct {
 	// so footprint-aware tie-breaking allocates nothing per dispatch.
 	fpScratch []Footprint
 	fpCheck   FootprintCheck
+	// work counts queued events that are neither cancelled nor Ticker
+	// ticks. It is kept inside the enqueue, dispatch and Cancel critical
+	// sections, so RunUntilIdle reads it without a lock round trip of its
+	// own.
+	work int
 }
 
 // Arbiter chooses which of n same-instant runnable events fires next,
@@ -105,6 +110,7 @@ func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.nowA.Store(0)
 	s.seq = 0
+	s.work = 0
 	s.q.reset()
 	// rand.Rand.Seed reinitializes the underlying source in place (here
 	// fastSource restores a cached state vector); the stream is
@@ -212,7 +218,12 @@ func (s *Scheduler) Uniform(lo, hi time.Duration) time.Duration {
 // (t earlier than Now) clamps to the present: the event fires on the next
 // Step. The returned Timer can cancel the event before it fires.
 func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
-	ev, ok := s.schedule(t, fn, Footprint{})
+	return s.timer(t, fn, false)
+}
+
+// timer is At with the tick flag: a Ticker arms its ticks through it.
+func (s *Scheduler) timer(t time.Duration, fn func(), tick bool) *Timer {
+	ev, ok := s.schedule(t, fn, Footprint{}, tick)
 	if !ok {
 		// Dropped by a fault plan: never entered the queue; hand back an
 		// inert handle whose Cancel is a no-op.
@@ -226,13 +237,14 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
 // keeps the steady-state hot path allocation-free (the event struct itself
 // is pooled).
 func (s *Scheduler) AtFn(t time.Duration, fn func()) {
-	s.schedule(t, fn, Footprint{})
+	s.schedule(t, fn, Footprint{}, false)
 }
 
 // schedule is the shared At/AtFn path: probe the fault injector, then
 // enqueue. It reports the queued event, or ok=false when a fault plan
-// dropped it.
-func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint) (*event, bool) {
+// dropped it. tick marks a Ticker re-arm, which RunUntilIdle does not wait
+// for; an injected duplicate inherits the mark.
+func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool) (*event, bool) {
 	s.mu.Lock()
 	fi := s.injector
 	now := s.now
@@ -250,15 +262,15 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint) (*event, 
 		case fault.KindDrop:
 			return nil, false
 		case fault.KindDuplicate:
-			s.at(t+act.Delay, fn, fp)
+			s.at(t+act.Delay, fn, fp, tick)
 		}
 	}
-	return s.at(t, fn, fp), true
+	return s.at(t, fn, fp, tick), true
 }
 
 // at is the enqueue step, without the fault probe (used for injected
 // duplicates).
-func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint) *event {
+func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) *event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t < s.now {
@@ -270,6 +282,10 @@ func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint) *event {
 	ev.fn = fn
 	ev.fp = fp
 	ev.cancelled = false
+	ev.work = !tick
+	if ev.work {
+		s.work++
+	}
 	s.seq++
 	s.q.push(s.now, ev)
 	s.met.Scheduled.Add(1)
@@ -331,9 +347,24 @@ func (s *Scheduler) Run() {
 
 // RunUntil executes events with deadlines at or before t, then advances the
 // clock to t even if the queue drained earlier.
-func (s *Scheduler) RunUntil(t time.Duration) {
+func (s *Scheduler) RunUntil(t time.Duration) { s.RunUntilIdle(t, nil) }
+
+// RunUntilIdle is RunUntil that may return early: once done reports true
+// and every event still queued is a Ticker tick, it stops with the clock at
+// the last dispatched event. Events scheduled before or by the work that
+// made done true still run, ticks included, but ticks after that point are
+// not simulated, so a caller uses it when nothing it reads depends on what
+// a poller would see next. done is called on the driving goroutine,
+// outside the scheduler lock, before the first event and after each one; a
+// nil done never reports true, which is RunUntil.
+func (s *Scheduler) RunUntilIdle(t time.Duration, done func() bool) {
+	idle := done != nil && done()
 	for {
 		s.mu.Lock()
+		if idle && s.work == 0 {
+			s.mu.Unlock()
+			return
+		}
 		ev := s.popRunnable(t)
 		if ev == nil {
 			if s.now < t {
@@ -345,6 +376,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 		}
 		s.mu.Unlock()
 		s.fire(ev)
+		idle = done != nil && done()
 	}
 }
 
@@ -420,6 +452,10 @@ func (s *Scheduler) popRunnable(limit time.Duration) *event {
 // instant carries the event's own deadline instead of reading Now (which
 // takes the same lock).
 func (s *Scheduler) dispatched(ev *event) {
+	if ev.work {
+		ev.work = false
+		s.work--
+	}
 	s.met.Dispatched.Add(1)
 	s.met.Depth.Set(int64(s.q.size()))
 	if s.met.Track != nil {
@@ -452,6 +488,10 @@ func (t *Timer) Cancel() {
 		t.ev.cancelled = true
 		t.s.met.Cancelled.Add(1)
 	}
+	if t.ev.work {
+		t.ev.work = false
+		t.s.work--
+	}
 }
 
 // When reports the virtual time the event is (or was) scheduled for.
@@ -464,4 +504,9 @@ type event struct {
 	fn        func()
 	fp        Footprint
 	cancelled bool
+	// work marks an event counted in Scheduler.work: queued, uncancelled
+	// and not a tick. Dispatch and Cancel clear it, so neither a Cancel
+	// from inside the event's own callback nor a later sweep counts it
+	// twice.
+	work bool
 }

@@ -24,8 +24,10 @@ func NewTicker(s *Scheduler, period time.Duration, fn func(now time.Duration) bo
 	return t
 }
 
+// arm schedules the next tick. Ticks are marked as such, so a drive through
+// RunUntilIdle does not wait on a ticker that would re-arm forever.
 func (t *Ticker) arm() {
-	t.timer = t.s.After(t.period, func() {
+	t.timer = t.s.timer(t.s.Now()+t.period, func() {
 		if t.stopped {
 			return
 		}
@@ -34,7 +36,7 @@ func (t *Ticker) arm() {
 			return
 		}
 		t.arm()
-	})
+	}, true)
 }
 
 // Stop cancels the ticker. Stopping twice is a no-op.

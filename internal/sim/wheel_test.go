@@ -215,4 +215,15 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	if perEvent > budget {
 		t.Fatalf("schedule+dispatch allocates %.2f objects/event, budget %.2f", perEvent, budget)
 	}
+	// The same through RunUntilIdle, whose stop rule reads the work count
+	// kept inside the enqueue and dispatch critical sections: the idle
+	// check adds no allocation (and no lock round trip) per event.
+	idle := func() bool { return true }
+	perEvent = testing.AllocsPerRun(2000, func() {
+		s.AfterFn(3*time.Millisecond, fn)
+		s.RunUntilIdle(maxDeadline, idle)
+	})
+	if perEvent > budget {
+		t.Fatalf("schedule+RunUntilIdle allocates %.2f objects/event, budget %.2f", perEvent, budget)
+	}
 }

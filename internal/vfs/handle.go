@@ -31,6 +31,10 @@ type Handle struct {
 	offset int64
 	wrote  bool
 	closed bool
+	// view is the prefix of the immutable buffer this handle's WriteShared
+	// calls adopted, with that buffer's capacity: the node holds the same
+	// bytes capped at their length, and the handle alone can extend them.
+	view []byte
 }
 
 // Open opens the file at p on behalf of actor. FlagCreate creates a missing
@@ -217,6 +221,7 @@ func (h *Handle) Close() error {
 		return ErrClosedHandle
 	}
 	h.closed = true
+	h.view = nil
 	kind := EvCloseNoWrite
 	if h.wrote {
 		kind = EvCloseWrite
@@ -259,14 +264,17 @@ func (fs *FS) ReadFile(p string, actor UID) ([]byte, error) {
 }
 
 // WriteShared is Write for an immutable shared buffer: instead of copying p
-// into the file, the (empty) file adopts p as its backing store, capped so
-// any later growth reallocates rather than scribbling past the shared
-// bytes. Checks, fault probes, space accounting and events match Write
-// exactly. The handle must be freshly opened with FlagTrunc, and callers
+// into the file, the file adopts p as its backing store, capped so any
+// later growth reallocates rather than scribbling past the shared bytes.
+// An empty file at offset 0 adopts p outright; a file this handle adopted
+// is extended in place when p is the next contiguous slice of the same
+// buffer, which is how a chunked download of hosted bytes stages them
+// without a copy. Any other write copies, exactly as Write. Checks, fault
+// probes, space accounting and events match Write exactly, and callers
 // must never modify p afterwards. The adopted buffer is marked shared on
-// the node: a later in-place rewrite through a non-truncating handle
-// unshares it first (copy-on-write in Write), so the publisher's bytes
-// stay immutable no matter how the file is later mutated.
+// the node: any later write that is not such an extension unshares it
+// first (copy-on-write in Write), so the publisher's bytes stay immutable
+// no matter how the file is later mutated.
 func (h *Handle) WriteShared(p []byte) (int, error) {
 	if h.closed {
 		return 0, ErrClosedHandle
@@ -274,8 +282,9 @@ func (h *Handle) WriteShared(p []byte) (int, error) {
 	if h.flags&FlagWrite == 0 {
 		return 0, fmt.Errorf("write %q: read-only handle: %w", h.path, ErrPermission)
 	}
-	if h.offset != 0 || len(h.node.data) != 0 {
-		return h.Write(p) // mid-file writes still copy
+	adopt := h.offset == 0 && len(h.node.data) == 0
+	if !adopt && !h.extends(p) {
+		return h.Write(p)
 	}
 	if err := h.fs.injectErr(fault.SiteVFSWrite, h.path); err != nil {
 		return 0, fmt.Errorf("write %q: %w", h.path, err)
@@ -284,14 +293,31 @@ func (h *Handle) WriteShared(p []byte) (int, error) {
 		if err := h.fs.chargeSpace(h.path, int64(len(p))); err != nil {
 			return 0, err
 		}
-		h.node.data = p[:len(p):len(p)]
+		if adopt {
+			h.view = p
+		} else {
+			h.view = h.view[:len(h.view)+len(p)]
+		}
+		h.node.data = h.view[:len(h.view):len(h.view)]
 		h.node.shared = true
 	}
-	h.offset = int64(len(p))
+	h.offset += int64(len(p))
 	h.wrote = true
 	h.node.modTime = h.fs.now()
 	h.fs.emit(Event{Kind: EvModify, Path: h.path, Actor: h.actor})
 	return len(p), nil
+}
+
+// extends reports whether p continues the buffer this handle adopted: the
+// file still holds exactly the adopted prefix, the handle sits at its end,
+// and p starts at the next byte of the same backing array. Reslicing view
+// within its capacity never leaves that array, so equal addresses mean the
+// same buffer, never a neighbouring allocation.
+func (h *Handle) extends(p []byte) bool {
+	v, d := h.view, h.node.data
+	return len(p) > 0 && len(v) > 0 && h.node.shared &&
+		len(d) == len(v) && &d[0] == &v[0] && h.offset == int64(len(v)) &&
+		cap(v)-len(v) >= len(p) && &v[:len(v)+1][len(v)] == &p[0]
 }
 
 // WriteFileShared is WriteFile for an immutable shared buffer: the created

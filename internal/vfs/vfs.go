@@ -844,6 +844,9 @@ func (fs *FS) Remove(p string, actor UID) error {
 		if err := fs.chargeSpace(full, -int64(len(n.data))); err != nil {
 			return err
 		}
+		// The bytes go with their space: an unlinked node must not keep an
+		// adopted buffer alive (or aliased) for as long as a handle holds it.
+		n.data, n.shared = nil, false
 	}
 	removeChild(n.parent, n)
 	fs.emit(Event{Kind: EvDelete, Path: full, Actor: actor, IsDir: n.kind == kindDir})

@@ -58,10 +58,12 @@ go test -run '^TestDisabledHooksZeroAlloc$' -count=1 ./internal/obs
 # always on in gia-serve, so any per-event allocation is a fleet-wide tax.
 go test -run '^TestRingAppendZeroAlloc$' -count=1 ./internal/obs
 # The simulator hot path (schedule+dispatch through the pooled timer
-# wheel) must stay allocation-free, and one full AIT schedule on a warm
-# arena device must stay within its pinned object budget.
+# wheel) must stay allocation-free, one full AIT schedule on a warm arena
+# device must stay within its pinned object budget, and one 900 KiB
+# explore-orders schedule within its object and byte budgets (a payload
+# copy or a drive that ticks on past the install breaks them).
 go test -run '^TestSchedulerAllocBudget$' -count=1 ./internal/sim
-go test -run '^TestAITAllocBudget$' -count=1 ./internal/experiment
+go test -run '^(TestAITAllocBudget|TestOrdersAllocBudget)$' -count=1 ./internal/experiment
 
 echo "== cache smoke under race (warm corpus scan, NumCPU workers) =="
 # Two race-enabled warm scans through the shared cache: concurrent hits,
