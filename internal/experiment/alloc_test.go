@@ -13,7 +13,7 @@ import (
 // warmSchedule returns one complete Amazon AIT hijack schedule on a warm
 // arena device, each call on the next seed, after running it once: the
 // first acquisition boots the device, and the process-wide memo caches
-// (signing keys, repackaged APKs, market listings, the published target)
+// (installer and malware images, repackaged APKs, the published target)
 // fill.
 func warmSchedule(t *testing.T, strategy attack.Strategy, payload []byte) func() {
 	t.Helper()

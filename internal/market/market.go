@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/sig"
@@ -68,50 +67,19 @@ func NewServer(host string) *Server {
 // Host returns the server's hostname.
 func (s *Server) Host() string { return s.host }
 
-// listingCache memoizes the Listing derived for an APK on a host: sweeps
-// re-publish the identical (immutable, shared) APK to a fresh server every
-// schedule, and rebuilding the URL string and digests dominated publish
-// cost. The cap bounds memory against unbounded corpora.
-var listingCache struct {
-	sync.Mutex
-	m map[listingKey]*Listing
-}
-
-type listingKey struct {
-	host string
-	apk  *apk.APK
-}
-
-const listingCacheCap = 4096
-
 // Publish adds an APK to the catalog and returns its listing.
 func (s *Server) Publish(a *apk.APK) Listing {
-	key := listingKey{s.host, a}
-	listingCache.Lock()
-	cached := listingCache.m[key]
-	listingCache.Unlock()
-	if cached == nil {
-		encoded := a.Encode()
-		cached = &Listing{
-			Package:      a.Manifest.Package,
-			VersionCode:  a.Manifest.VersionCode,
-			URL:          fmt.Sprintf("https://%s/apps/%s-v%d.apk", s.host, a.Manifest.Package, a.Manifest.VersionCode),
-			SizeBytes:    int64(len(encoded)),
-			ContentHash:  a.EncodedDigest(),
-			ManifestHash: a.ManifestDigest(),
-			encoded:      encoded,
-		}
-		listingCache.Lock()
-		if listingCache.m == nil {
-			listingCache.m = make(map[listingKey]*Listing)
-		}
-		if len(listingCache.m) < listingCacheCap {
-			listingCache.m[key] = cached
-		}
-		listingCache.Unlock()
+	encoded := a.Encode()
+	l := Listing{
+		Package:      a.Manifest.Package,
+		VersionCode:  a.Manifest.VersionCode,
+		URL:          fmt.Sprintf("https://%s/apps/%s-v%d.apk", s.host, a.Manifest.Package, a.Manifest.VersionCode),
+		SizeBytes:    int64(len(encoded)),
+		ContentHash:  a.EncodedDigest(),
+		ManifestHash: a.ManifestDigest(),
+		encoded:      encoded,
 	}
-	l := *cached
-	s.byURL[l.URL] = a.Encode()
+	s.byURL[l.URL] = encoded
 	if prev, ok := s.listings[l.Package]; !ok || l.VersionCode >= prev.VersionCode {
 		s.listings[l.Package] = l
 	}

@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 )
 
 // DigestSize is the size of all digests and fingerprints in bytes.
@@ -59,43 +58,16 @@ type Key struct {
 	cert    Certificate
 }
 
-// keyCache memoizes derived keys. The derivation is deterministic and a Key
-// is immutable, so a subject's key can be shared freely — Verify re-derives
-// the claimed subject's key on every check, which otherwise costs two
-// SHA-256 runs per verification. The cap bounds memory against unbounded
-// corpus subjects.
-var keyCache struct {
-	sync.Mutex
-	m map[string]*Key
-}
-
-const keyCacheCap = 8192
-
 // NewKey derives a key for subject. The derivation is deterministic so
 // corpora are reproducible: the same subject always yields the same key.
 func NewKey(subject string) *Key {
-	keyCache.Lock()
-	k := keyCache.m[subject]
-	keyCache.Unlock()
-	if k != nil {
-		return k
-	}
 	secret := sha256.Sum256([]byte("gia-signing-key:" + subject))
 	fp := sha256.Sum256(append([]byte("gia-cert:"), secret[:]...))
-	k = &Key{
+	return &Key{
 		subject: subject,
 		secret:  secret,
 		cert:    Certificate{Subject: subject, Fingerprint: fp},
 	}
-	keyCache.Lock()
-	if keyCache.m == nil {
-		keyCache.m = make(map[string]*Key)
-	}
-	if len(keyCache.m) < keyCacheCap {
-		keyCache.m[subject] = k
-	}
-	keyCache.Unlock()
-	return k
 }
 
 // Subject returns the key's subject name.

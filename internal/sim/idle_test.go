@@ -124,9 +124,7 @@ func TestResetClearsIdleCount(t *testing.T) {
 
 // The work count is kept under the scheduler lock: scheduling and
 // cancelling from several goroutines while a drive runs leaves it exact,
-// zero once everything has fired or been cancelled. (Handles are made
-// before the drive starts: At reads its event's generation after
-// releasing the lock, so At itself must not race a drive.)
+// zero once everything has fired or been cancelled.
 func TestIdleCountUnderConcurrentUse(t *testing.T) {
 	s := New(2)
 	timers := make([][]*Timer, 4)

@@ -3,57 +3,25 @@ package sim
 import (
 	"container/heap"
 	"math"
-	"math/bits"
 	"time"
 )
 
-// maxDeadline is the "no limit" bound passed to eventQueue.pop by Step/Run.
+// maxDeadline is the "no limit" bound Step passes to heapQueue.pop.
 const maxDeadline = time.Duration(math.MaxInt64)
 
-// eventQueue is the scheduler's priority queue of pending events, ordered by
-// (deadline, sequence). Two implementations exist: the original binary heap
-// (heapQueue) and the hierarchical timer wheel (wheelQueue) that replaced it
-// on the hot path. FuzzTimerWheel drives both with identical operation
-// sequences and requires identical dispatch order, which is what lets the
-// wheel hide behind the unchanged Scheduler API.
-//
-// All methods are called with the scheduler lock held. `now` is the
-// scheduler's current virtual time; implementations may rely on the clock
-// invariant that every queued event has a deadline >= now (At clamps past
-// deadlines to the present, and the clock only advances to dispatched
-// deadlines).
-type eventQueue interface {
-	// size counts queued events, including cancelled ones not yet swept.
-	size() int
-	// pop removes and returns the earliest live event with deadline <=
-	// limit, or nil. Cancelled events encountered along the way are swept
-	// and recycled.
-	pop(now, limit time.Duration) *event
-	// popTies removes and returns every live event sharing the earliest
-	// deadline <= limit, in scheduling (seq) order. The returned slice is
-	// owned by the queue and valid until the next popTies call.
-	popTies(now, limit time.Duration) []*event
-	// push inserts an event. The event's deadline must be >= now.
-	push(now time.Duration, ev *event)
-	// reset drops every queued event (recycling each) and restores the
-	// queue to its boot state, retaining allocated capacity.
-	reset()
-}
-
-// ---------------------------------------------------------------------------
-// heapQueue: the original container/heap implementation.
-
+// heapQueue is the scheduler's priority queue of pending events: a binary
+// heap ordered by (deadline, sequence), so same-deadline events pop in
+// scheduling order. Every method is called with the scheduler lock held.
 type heapQueue struct {
 	h    eventHeap
 	ties []*event
 	drop func(*event) // recycles swept cancelled events
 }
 
-func newHeapQueue(drop func(*event)) *heapQueue { return &heapQueue{drop: drop} }
-
+// size counts queued events, including cancelled ones not yet swept.
 func (q *heapQueue) size() int { return len(q.h) }
 
-func (q *heapQueue) push(_ time.Duration, ev *event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
 
 // sweep removes cancelled events from the top of the heap.
 func (q *heapQueue) sweep() {
@@ -62,7 +30,9 @@ func (q *heapQueue) sweep() {
 	}
 }
 
-func (q *heapQueue) pop(_, limit time.Duration) *event {
+// pop removes and returns the earliest live event with deadline <= limit,
+// or nil. Cancelled events met on the way are swept and recycled.
+func (q *heapQueue) pop(limit time.Duration) *event {
 	q.sweep()
 	if len(q.h) == 0 || q.h[0].at > limit {
 		return nil
@@ -70,7 +40,10 @@ func (q *heapQueue) pop(_, limit time.Duration) *event {
 	return q.popEvent()
 }
 
-func (q *heapQueue) popTies(_, limit time.Duration) []*event {
+// popTies removes and returns every live event sharing the earliest
+// deadline <= limit, in scheduling (seq) order. The returned slice is owned
+// by the queue and valid until the next popTies call.
+func (q *heapQueue) popTies(limit time.Duration) []*event {
 	q.sweep()
 	if len(q.h) == 0 || q.h[0].at > limit {
 		return nil
@@ -89,6 +62,8 @@ func (q *heapQueue) popTies(_, limit time.Duration) []*event {
 	return q.ties
 }
 
+// reset drops every queued event (recycling each), retaining the heap's
+// capacity.
 func (q *heapQueue) reset() {
 	for _, ev := range q.h {
 		q.drop(ev)
@@ -134,329 +109,6 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// ---------------------------------------------------------------------------
-// wheelQueue: a lazy hierarchical timer wheel.
-//
-// Level l has 64 slots of 64^l ticks each (tick = 1 ms), so level l spans
-// 64^(l+1) ticks; events farther out than level 5's ~795-day horizon land in
-// a small overflow list. An event with deadline tick e inserted when the
-// clock tick was c goes to the smallest level whose span exceeds e-c, at
-// slot (e >> 6l) & 63.
-//
-// The wheel is *lazy*: nothing migrates between levels as the clock
-// advances. That is sound here because of the scheduler's clock invariant
-// (the clock only advances to the next dispatched deadline, so every queued
-// event keeps deadline >= now): an event's insertion-time delta only
-// shrinks, so at scan time every level-l event still satisfies
-// e in [scanTick, scanTick + 64^(l+1)).
-//
-// Finding the level minimum scans slots circularly from the slot of the
-// current clock tick, using a per-level occupancy bitmap to skip empty
-// slots. One wrinkle: over a window of 64^(l+1) ticks the bucket range
-// [b0, b0+64] maps both its first bucket b0 and its last bucket b0+64 onto
-// the start slot, so events found in the start slot are split into "near"
-// (bucket b0 — beat everything) and "far" (bucket b0+64 — beaten by
-// everything); a far minimum is only returned if no other slot is occupied.
-const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 6
-	wheelTick   = int64(time.Millisecond)
-)
-
-type wheelQueue struct {
-	levels   [wheelLevels][wheelSlots][]*event
-	occupied [wheelLevels]uint64
-	overflow []*event
-	count    int
-	ties     []*event
-	drop     func(*event)
-}
-
-func newWheelQueue(drop func(*event)) *wheelQueue { return &wheelQueue{drop: drop} }
-
-func etick(ev *event) int64 { return int64(ev.at) / wheelTick }
-
-func (q *wheelQueue) size() int { return q.count }
-
-func (q *wheelQueue) push(now time.Duration, ev *event) {
-	cur := int64(now) / wheelTick
-	e := etick(ev)
-	delta := e - cur // >= 0 by the clock invariant
-	q.count++
-	for l := 0; l < wheelLevels; l++ {
-		if delta < 1<<(wheelBits*(l+1)) {
-			slot := int(e>>(wheelBits*l)) & wheelMask
-			q.levels[l][slot] = append(q.levels[l][slot], ev)
-			q.occupied[l] |= 1 << slot
-			return
-		}
-	}
-	q.overflow = append(q.overflow, ev)
-}
-
-// sweepSlot compacts cancelled events out of level l, slot s, recycling
-// them, and returns the surviving slice (updating the occupancy bit).
-func (q *wheelQueue) sweepSlot(l, s int) []*event {
-	slot := q.levels[l][s]
-	kept := slot[:0]
-	for _, ev := range slot {
-		if ev.cancelled {
-			q.drop(ev)
-			q.count--
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(slot); i++ {
-		slot[i] = nil
-	}
-	q.levels[l][s] = kept
-	if len(kept) == 0 {
-		q.occupied[l] &^= 1 << s
-	}
-	return kept
-}
-
-func lessEvent(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// levelMin returns the live minimum event at level l and its slot/index, or
-// nil. Cancelled events encountered are swept.
-func (q *wheelQueue) levelMin(l int, scanTick int64) (*event, int, int) {
-	if q.occupied[l] == 0 {
-		return nil, 0, 0
-	}
-	shift := uint(wheelBits * l)
-	b0 := scanTick >> shift
-	s0 := int(b0) & wheelMask
-	var farBest *event
-	farSlot, farIdx := 0, 0
-	for k := 0; k < wheelSlots; k++ {
-		s := (s0 + k) & wheelMask
-		if q.occupied[l]&(1<<s) == 0 {
-			continue
-		}
-		slot := q.sweepSlot(l, s)
-		if len(slot) == 0 {
-			continue
-		}
-		if k == 0 {
-			// The start slot mixes bucket b0 (nearest) with bucket
-			// b0+64 (farthest); only a near hit wins outright.
-			var nearBest *event
-			nearIdx := 0
-			for i, ev := range slot {
-				if etick(ev)>>shift == b0 {
-					if nearBest == nil || lessEvent(ev, nearBest) {
-						nearBest, nearIdx = ev, i
-					}
-				} else if farBest == nil || lessEvent(ev, farBest) {
-					farBest, farSlot, farIdx = ev, s, i
-				}
-			}
-			if nearBest != nil {
-				return nearBest, s, nearIdx
-			}
-			continue
-		}
-		var best *event
-		bestIdx := 0
-		for i, ev := range slot {
-			if best == nil || lessEvent(ev, best) {
-				best, bestIdx = ev, i
-			}
-		}
-		return best, s, bestIdx
-	}
-	return farBest, farSlot, farIdx
-}
-
-// min locates the global live minimum. It returns the event plus its
-// location: level >= 0 with slot/index, or level == -1 for overflow (index
-// in the overflow slice). Cancelled events met during the scan are swept.
-func (q *wheelQueue) min(now time.Duration) (best *event, level, slot, idx int) {
-	scanTick := int64(now) / wheelTick
-	for l := 0; l < wheelLevels; l++ {
-		if ev, s, i := q.levelMin(l, scanTick); ev != nil {
-			if best == nil || lessEvent(ev, best) {
-				best, level, slot, idx = ev, l, s, i
-			}
-		}
-	}
-	kept := q.overflow[:0]
-	for _, ev := range q.overflow {
-		if ev.cancelled {
-			q.drop(ev)
-			q.count--
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(q.overflow); i++ {
-		q.overflow[i] = nil
-	}
-	q.overflow = kept
-	for i, ev := range q.overflow {
-		if best == nil || lessEvent(ev, best) {
-			best, level, slot, idx = ev, -1, 0, i
-		}
-	}
-	return best, level, slot, idx
-}
-
-// removeAt deletes the event at the located position (swap-remove; order
-// within a slot is irrelevant, the min scan re-sorts by (at, seq)).
-func (q *wheelQueue) removeAt(level, slot, idx int) {
-	if level < 0 {
-		last := len(q.overflow) - 1
-		q.overflow[idx] = q.overflow[last]
-		q.overflow[last] = nil
-		q.overflow = q.overflow[:last]
-	} else {
-		sl := q.levels[level][slot]
-		last := len(sl) - 1
-		sl[idx] = sl[last]
-		sl[last] = nil
-		q.levels[level][slot] = sl[:last]
-		if last == 0 {
-			q.occupied[level] &^= 1 << slot
-		}
-	}
-	q.count--
-}
-
-func (q *wheelQueue) pop(now, limit time.Duration) *event {
-	ev, l, s, i := q.min(now)
-	if ev == nil || ev.at > limit {
-		return nil
-	}
-	q.removeAt(l, s, i)
-	return ev
-}
-
-func (q *wheelQueue) popTies(now, limit time.Duration) []*event {
-	ev, _, _, _ := q.min(now)
-	if ev == nil || ev.at > limit {
-		return nil
-	}
-	at := ev.at
-	e := int64(at) / wheelTick
-	q.ties = q.ties[:0]
-	// Same-deadline events can sit at different levels (they were inserted
-	// at different times, so their deltas chose different spans), but within
-	// a level they share one slot: same deadline, same bucket.
-	for l := 0; l < wheelLevels; l++ {
-		s := int(e>>(wheelBits*l)) & wheelMask
-		if q.occupied[l]&(1<<s) == 0 {
-			continue
-		}
-		slot := q.levels[l][s]
-		kept := slot[:0]
-		for _, cand := range slot {
-			switch {
-			case cand.cancelled:
-				q.drop(cand)
-				q.count--
-			case cand.at == at:
-				q.ties = append(q.ties, cand)
-				q.count--
-			default:
-				kept = append(kept, cand)
-			}
-		}
-		for i := len(kept); i < len(slot); i++ {
-			slot[i] = nil
-		}
-		q.levels[l][s] = kept
-		if len(kept) == 0 {
-			q.occupied[l] &^= 1 << s
-		}
-	}
-	kept := q.overflow[:0]
-	for _, cand := range q.overflow {
-		switch {
-		case cand.cancelled:
-			q.drop(cand)
-			q.count--
-		case cand.at == at:
-			q.ties = append(q.ties, cand)
-			q.count--
-		default:
-			kept = append(kept, cand)
-		}
-	}
-	for i := len(kept); i < len(q.overflow); i++ {
-		q.overflow[i] = nil
-	}
-	q.overflow = kept
-	// Ties gathered across levels arrive out of order; FIFO order is seq
-	// order. Insertion sort: tie sets are tiny (the arbiter races are 2-5
-	// events wide) and this avoids a sort.Slice closure allocation.
-	for i := 1; i < len(q.ties); i++ {
-		for j := i; j > 0 && q.ties[j].seq < q.ties[j-1].seq; j-- {
-			q.ties[j], q.ties[j-1] = q.ties[j-1], q.ties[j]
-		}
-	}
-	return q.ties
-}
-
-func (q *wheelQueue) reset() {
-	for l := 0; l < wheelLevels; l++ {
-		occ := q.occupied[l]
-		for occ != 0 {
-			s := trailingZeros64(occ)
-			occ &^= 1 << s
-			slot := q.levels[l][s]
-			for i, ev := range slot {
-				q.drop(ev)
-				slot[i] = nil
-			}
-			q.levels[l][s] = slot[:0]
-		}
-		q.occupied[l] = 0
-	}
-	for i, ev := range q.overflow {
-		q.drop(ev)
-		q.overflow[i] = nil
-	}
-	q.overflow = q.overflow[:0]
-	q.count = 0
-}
-
-func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }
-
-// queueFingerprint summarizes the pending-event state for the devicetest
-// harness: (now, seq, live count) plus an order-independent digest of the
-// live (deadline, seq) pairs. Two schedulers with equal fingerprints and
-// equal clocks hold indistinguishable pending work.
-func queueFingerprint(now time.Duration, seq uint64, q eventQueue) Fingerprint {
-	fp := Fingerprint{Now: now, Seq: seq}
-	switch impl := q.(type) {
-	case *wheelQueue:
-		for l := 0; l < wheelLevels; l++ {
-			for s := 0; s < wheelSlots; s++ {
-				for _, ev := range impl.levels[l][s] {
-					fp.fold(ev)
-				}
-			}
-		}
-		for _, ev := range impl.overflow {
-			fp.fold(ev)
-		}
-	case *heapQueue:
-		for _, ev := range impl.h {
-			fp.fold(ev)
-		}
-	}
-	return fp
-}
-
 // Fingerprint is an order-independent digest of scheduler state, exposed for
 // the reset-equivalence harness.
 type Fingerprint struct {
@@ -466,7 +118,7 @@ type Fingerprint struct {
 	// events are excluded because their sweep time is arbitrary.
 	Pending int
 	// Hash folds each live pending event's (deadline, seq) pair with a
-	// commutative mix, so heap layout and wheel slot layout cannot leak in.
+	// commutative mix, so the heap layout cannot leak in.
 	Hash uint64
 }
 

@@ -43,11 +43,11 @@ type Metrics struct {
 // single-threaded: callbacks run on the goroutine that calls Run, Step,
 // RunUntil or RunUntilIdle, and may schedule further events.
 //
-// Internally, pending events live in a hierarchical timer wheel and fired
-// events are recycled through a free list, so the steady-state hot path
-// (schedule, dispatch, recycle) does not allocate. Timer handles carry a
-// generation number so a handle that outlives its event cannot cancel the
-// event's pooled successor.
+// Internally, pending events live in a binary heap and fired events are
+// recycled through a free list, so the steady-state hot path (schedule,
+// dispatch, recycle) does not allocate. Timer handles carry a generation
+// number so a handle that outlives its event cannot cancel the event's
+// pooled successor.
 type Scheduler struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -55,7 +55,7 @@ type Scheduler struct {
 	// modTime stamp and event reads it) never contends on the lock.
 	nowA     atomic.Int64
 	seq      uint64
-	q        eventQueue
+	q        heapQueue
 	free     []*event
 	rng      *rand.Rand
 	arbiter  Arbiter
@@ -85,16 +85,7 @@ type Arbiter func(n int) int
 // seed always yields the same event interleavings and random draws.
 func New(seed int64) *Scheduler {
 	s := &Scheduler{rng: rand.New(newFastSource(seed))}
-	s.q = newWheelQueue(s.recycle)
-	return s
-}
-
-// newHeapScheduler builds a Scheduler on the original binary-heap queue.
-// It exists only for the differential tests (FuzzTimerWheel) that pin the
-// wheel's dispatch order to the heap's.
-func newHeapScheduler(seed int64) *Scheduler {
-	s := &Scheduler{rng: rand.New(newFastSource(seed))}
-	s.q = newHeapQueue(s.recycle)
+	s.q.drop = s.recycle
 	return s
 }
 
@@ -169,13 +160,17 @@ func (s *Scheduler) Pending() int {
 
 // Fingerprint digests the scheduler's dynamic state — clock, sequence
 // counter and the multiset of live pending (deadline, seq) pairs — in a
-// representation-independent way: heap- and wheel-backed schedulers in the
-// same logical state produce equal fingerprints. The devicetest harness
-// compares these across fresh-boot and arena-reset devices.
+// layout-independent way: schedulers in the same logical state produce
+// equal fingerprints however their heaps are arranged. The devicetest
+// harness compares these across fresh-boot and arena-reset devices.
 func (s *Scheduler) Fingerprint() Fingerprint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return queueFingerprint(s.now, s.seq, s.q)
+	fp := Fingerprint{Now: s.now, Seq: s.seq}
+	for _, ev := range s.q.h {
+		fp.fold(ev)
+	}
+	return fp
 }
 
 // Uint32 draws from the scheduler's seeded source under its lock.
@@ -223,13 +218,8 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
 
 // timer is At with the tick flag: a Ticker arms its ticks through it.
 func (s *Scheduler) timer(t time.Duration, fn func(), tick bool) *Timer {
-	ev, ok := s.schedule(t, fn, Footprint{}, tick)
-	if !ok {
-		// Dropped by a fault plan: never entered the queue; hand back an
-		// inert handle whose Cancel is a no-op.
-		return &Timer{s: s, at: t}
-	}
-	return &Timer{s: s, ev: ev, gen: ev.gen, at: ev.at}
+	tm := s.schedule(t, fn, Footprint{}, tick)
+	return &tm
 }
 
 // AtFn schedules fn to run at absolute virtual time t, without returning a
@@ -241,10 +231,10 @@ func (s *Scheduler) AtFn(t time.Duration, fn func()) {
 }
 
 // schedule is the shared At/AtFn path: probe the fault injector, then
-// enqueue. It reports the queued event, or ok=false when a fault plan
-// dropped it. tick marks a Ticker re-arm, which RunUntilIdle does not wait
-// for; an injected duplicate inherits the mark.
-func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool) (*event, bool) {
+// enqueue. It returns a handle to the queued event. tick marks a Ticker
+// re-arm, which RunUntilIdle does not wait for; an injected duplicate
+// inherits the mark.
+func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool) Timer {
 	s.mu.Lock()
 	fi := s.injector
 	now := s.now
@@ -260,17 +250,21 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool
 		case fault.KindDelay:
 			t += act.Delay
 		case fault.KindDrop:
-			return nil, false
+			// Never entered the queue: an inert handle whose Cancel is a
+			// no-op.
+			return Timer{s: s, at: t}
 		case fault.KindDuplicate:
 			s.at(t+act.Delay, fn, fp, tick)
 		}
 	}
-	return s.at(t, fn, fp, tick), true
+	return s.at(t, fn, fp, tick)
 }
 
 // at is the enqueue step, without the fault probe (used for injected
-// duplicates).
-func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) *event {
+// duplicates). The returned handle is built inside the critical section:
+// once the lock is released, a drive on another goroutine may fire and
+// recycle the event, bumping its generation.
+func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t < s.now {
@@ -287,10 +281,10 @@ func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) *eve
 		s.work++
 	}
 	s.seq++
-	s.q.push(s.now, ev)
+	s.q.push(ev)
 	s.met.Scheduled.Add(1)
 	s.met.Depth.Set(int64(s.q.size()))
-	return ev
+	return Timer{s: s, ev: ev, gen: ev.gen, at: ev.at}
 }
 
 // alloc takes an event from the free list, or makes one. Callers hold s.mu.
@@ -397,7 +391,7 @@ func (s *Scheduler) fire(ev *event) {
 // intact. Callers must hold s.mu.
 func (s *Scheduler) popRunnable(limit time.Duration) *event {
 	if s.arbiter == nil && s.tagged == nil {
-		ev := s.q.pop(s.now, limit)
+		ev := s.q.pop(limit)
 		if ev == nil {
 			s.met.Depth.Set(int64(s.q.size()))
 			return nil
@@ -407,7 +401,7 @@ func (s *Scheduler) popRunnable(limit time.Duration) *event {
 		s.dispatched(ev)
 		return ev
 	}
-	cands := s.q.popTies(s.now, limit)
+	cands := s.q.popTies(limit)
 	if len(cands) == 0 {
 		s.met.Depth.Set(int64(s.q.size()))
 		return nil
@@ -441,7 +435,7 @@ func (s *Scheduler) popRunnable(limit time.Duration) *event {
 	chosen := cands[idx]
 	for i, ev := range cands {
 		if i != idx {
-			s.q.push(s.now, ev)
+			s.q.push(ev)
 		}
 	}
 	s.dispatched(chosen)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -275,5 +276,148 @@ func TestSchedulerMetrics(t *testing.T) {
 	evs := track.Events()
 	if len(evs) != 2 || evs[0].Start != 10*time.Millisecond || evs[1].Start != 20*time.Millisecond {
 		t.Errorf("dispatch instants = %+v", evs)
+	}
+}
+
+// TestSchedulerFarDeadlines: deadlines from half a millisecond to 3,000
+// days, scheduled in reverse, dispatch in deadline order.
+func TestSchedulerFarDeadlines(t *testing.T) {
+	s := New(1)
+	deadlines := []time.Duration{
+		500 * time.Microsecond,
+		30 * time.Millisecond,
+		3 * time.Second,
+		2 * time.Minute,
+		20 * time.Hour,
+		40 * 24 * time.Hour,
+		900 * 24 * time.Hour,
+		3000 * 24 * time.Hour,
+	}
+	var got []time.Duration
+	// Schedule in reverse so insertion order cannot mask ordering bugs.
+	for i := len(deadlines) - 1; i >= 0; i-- {
+		d := deadlines[i]
+		s.At(d, func() { got = append(got, s.Now()) })
+	}
+	s.Run()
+	if len(got) != len(deadlines) {
+		t.Fatalf("dispatched %d events, want %d", len(got), len(deadlines))
+	}
+	for i, d := range deadlines {
+		if got[i] != d {
+			t.Fatalf("dispatch %d at %v, want %v (full order %v)", i, got[i], d, got)
+		}
+	}
+}
+
+// TestSchedulerNearMidFarOrder: events scheduled mid-run, the farthest one
+// 4,096 ms beyond the nearest, fire in deadline order, not scheduling
+// order.
+func TestSchedulerNearMidFarOrder(t *testing.T) {
+	s := New(1)
+	var order []string
+	s.At(70*time.Millisecond, func() {
+		s.At(126*time.Millisecond, func() { order = append(order, "near") })
+		s.At(4166*time.Millisecond, func() { order = append(order, "far") })
+		s.At(130*time.Millisecond, func() { order = append(order, "mid") })
+	})
+	s.Run()
+	want := []string{"near", "mid", "far"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestSchedulerReset pins the arena's reset contract at the scheduler
+// level: after any amount of use, Reset(seed) is indistinguishable from
+// New(seed) — clock, pending set, fingerprint and the full random stream.
+func TestSchedulerReset(t *testing.T) {
+	s := New(99)
+	for i := 0; i < 50; i++ {
+		s.After(time.Duration(i)*7*time.Millisecond, func() {})
+	}
+	tm := s.After(time.Hour, func() {})
+	s.RunUntil(200 * time.Millisecond)
+	tm.Cancel()
+	_ = s.Uint32()
+
+	s.Reset(2017)
+	fresh := New(2017)
+	if got, want := s.Fingerprint(), fresh.Fingerprint(); got != want {
+		t.Fatalf("reset fingerprint %+v, want fresh %+v", got, want)
+	}
+	if s.Now() != 0 || s.Pending() != 0 {
+		t.Fatalf("reset left now=%v pending=%d", s.Now(), s.Pending())
+	}
+	for i := 0; i < 1000; i++ {
+		if got, want := s.Uint32(), fresh.Uint32(); got != want {
+			t.Fatalf("draw %d: reset stream %d, fresh stream %d", i, got, want)
+		}
+	}
+}
+
+// TestResetInvalidatesStaleTimers: a Timer created before Reset must not be
+// able to cancel an event scheduled after Reset, even though the event
+// struct is recycled through the pool.
+func TestResetInvalidatesStaleTimers(t *testing.T) {
+	s := New(1)
+	stale := s.After(time.Second, func() {})
+	s.Reset(1)
+	fired := false
+	s.After(time.Second, func() { fired = true })
+	stale.Cancel() // may recycle into the same *event; generation must block it
+	s.Run()
+	if !fired {
+		t.Fatal("stale pre-reset Timer cancelled a post-reset event")
+	}
+}
+
+// TestTimerCancelAfterFireIsNoop: cancelling a fired timer whose event was
+// already recycled into a new pending event must not cancel the new one.
+func TestTimerCancelAfterFireIsNoop(t *testing.T) {
+	s := New(1)
+	first := s.After(time.Millisecond, func() {})
+	s.Run() // fires and recycles first's event
+	fired := false
+	s.After(time.Millisecond, func() { fired = true })
+	first.Cancel()
+	s.Run()
+	if !fired {
+		t.Fatal("Cancel of a fired timer killed the recycled event")
+	}
+}
+
+// TestSchedulerAllocBudget pins the per-event cost of the simulator hot
+// path: in steady state, scheduling (AfterFn) plus dispatching an event
+// through the pooled heap must not allocate at all.
+func TestSchedulerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := New(1)
+	fn := func() {}
+	// Warm the event pool and the heap's capacity.
+	for i := 0; i < 64; i++ {
+		s.AfterFn(time.Duration(i)*time.Millisecond, fn)
+	}
+	s.Run()
+	perEvent := testing.AllocsPerRun(2000, func() {
+		s.AfterFn(3*time.Millisecond, fn)
+		s.Step()
+	})
+	const budget = 0.0
+	if perEvent > budget {
+		t.Fatalf("schedule+dispatch allocates %.2f objects/event, budget %.2f", perEvent, budget)
+	}
+	// The same through RunUntilIdle, whose stop rule reads the work count
+	// kept inside the enqueue and dispatch critical sections: the idle
+	// check adds no allocation (and no lock round trip) per event.
+	idle := func() bool { return true }
+	perEvent = testing.AllocsPerRun(2000, func() {
+		s.AfterFn(3*time.Millisecond, fn)
+		s.RunUntilIdle(maxDeadline, idle)
+	})
+	if perEvent > budget {
+		t.Fatalf("schedule+RunUntilIdle allocates %.2f objects/event, budget %.2f", perEvent, budget)
 	}
 }

@@ -33,6 +33,13 @@ echo "== benchmark vet (its own module over this one) =="
 # dependency.
 GOWORK=off GOPROXY=off go -C benchmark vet .
 
+echo "== benchmark tests (every workload at toy size, with its checks) =="
+# Vet only proves the benchmark compiles. Its tests run every workload at
+# toy size, traced and untraced, with the workload's output checks, so an
+# internal change that breaks a workload's output fails here instead of
+# only in a full benchmark/run.sh.
+GOWORK=off GOPROXY=off go -C benchmark test ./...
+
 echo "== go test -race -count=2 ./... =="
 # -count=2 defeats the test cache and catches order- or state-dependent
 # flakes in the race-enabled suite (golden traces, the defense matrix and
@@ -57,8 +64,8 @@ go test -run '^TestDisabledHooksZeroAlloc$' -count=1 ./internal/obs
 # Flight-recorder rings must append without allocating: the recorder is
 # always on in gia-serve, so any per-event allocation is a fleet-wide tax.
 go test -run '^TestRingAppendZeroAlloc$' -count=1 ./internal/obs
-# The simulator hot path (schedule+dispatch through the pooled timer
-# wheel) must stay allocation-free, one full AIT schedule on a warm arena
+# The simulator hot path (schedule+dispatch through the pooled event
+# heap) must stay allocation-free, one full AIT schedule on a warm arena
 # device must stay within its pinned object budget, and one 900 KiB
 # explore-orders schedule within its object and byte budgets (a payload
 # copy or a drive that ticks on past the install breaks them).
