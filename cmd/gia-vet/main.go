@@ -19,13 +19,23 @@
 //     is nondeterministic by construction (collect the keys, sort,
 //     then emit).
 //
+// Across every package under internal/ it also flags process-global
+// mutable maps: a package-level var in a non-test file whose type is a
+// map, or a struct with a map field, and that has no initializer. Such a
+// map is shared by every device and worker in the process and grows until
+// its owner evicts; a fixture built once and passed as a value needs
+// neither. Composite-literal lookup tables have an initializer and pass.
+// A map that earns its place carries a `//gia:global — why` comment on
+// the line of its name.
+//
 // Usage:
 //
-//	gia-vet [dir ...]    # default: the guarded packages under ./internal
+//	gia-vet [dir ...]    # default: every package under ./internal
 //
-// Exit code 0 when clean, 1 with findings, 2 on parse errors. The checks
-// are syntactic: map-ness is inferred from declarations visible in the
-// same file, which covers the guarded packages without a type checker.
+// Named directories get every check. Exit code 0 when clean, 1 with
+// findings, 2 on parse errors. The checks are syntactic: map-ness is
+// inferred from declarations visible in the same file, which covers the
+// guarded packages without a type checker.
 package main
 
 import (
@@ -33,6 +43,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -68,20 +79,28 @@ var printFuncs = map[string]bool{
 }
 
 func main() {
-	dirs := os.Args[1:]
-	if len(dirs) == 0 || (len(dirs) == 1 && (dirs[0] == "./..." || dirs[0] == "...")) {
-		dirs = guardedDirs
+	var dirs []pkgDir
+	if args := os.Args[1:]; len(args) == 0 || (len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
+		var err error
+		if dirs, err = defaultDirs("."); err != nil {
+			fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
+			os.Exit(2)
+		}
+	} else {
+		for _, dir := range args {
+			dirs = append(dirs, pkgDir{path: dir, deterministic: true})
+		}
 	}
 	code := 0
 	for _, dir := range dirs {
-		files, err := goFiles(dir)
+		files, err := goFiles(dir.path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
 			code = 2
 			continue
 		}
 		for _, path := range files {
-			findings, err := vetFile(path)
+			findings, err := vetFile(path, dir.deterministic)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
 				code = 2
@@ -98,8 +117,38 @@ func main() {
 	os.Exit(code)
 }
 
-// goFiles lists the .go files directly in dir (no recursion — the
-// guarded packages are flat).
+// pkgDir is one directory gia-vet checks; deterministic adds the
+// determinism checks to the globals check.
+type pkgDir struct {
+	path          string
+	deterministic bool
+}
+
+// defaultDirs lists every package directory under root/internal, marking
+// the guardedDirs as deterministic.
+func defaultDirs(root string) ([]pkgDir, error) {
+	guarded := map[string]bool{}
+	for _, d := range guardedDirs {
+		guarded[filepath.Join(root, d)] = true
+	}
+	var out []pkgDir
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && e.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if e.IsDir() {
+			out = append(out, pkgDir{path: path, deterministic: guarded[path]})
+		}
+		return nil
+	})
+	return out, err
+}
+
+// goFiles lists the .go files directly in dir (no recursion: defaultDirs
+// walks the tree).
 func goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -114,17 +163,23 @@ func goFiles(dir string) ([]string, error) {
 	return out, nil
 }
 
-// vetFile parses one source file and runs all three checks over it.
-func vetFile(path string) ([]string, error) {
+// vetFile parses one source file and runs the globals check over it (test
+// files excepted) and, when deterministic, the three determinism checks.
+func vetFile(path string, deterministic bool) ([]string, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
 	v := &vetter{fset: fset, randPkg: importName(file, "math/rand"), timePkg: importName(file, "time")}
-	v.collectWallclockLines(file)
-	v.collectMapIdents(file)
-	ast.Inspect(file, v.visit)
+	if !strings.HasSuffix(path, "_test.go") {
+		v.checkGlobals(file)
+	}
+	if deterministic {
+		v.wallclockOK = v.guardedLines(file, wallclockGuard)
+		v.collectMapIdents(file)
+		ast.Inspect(file, v.visit)
+	}
 	return v.findings, nil
 }
 
@@ -132,17 +187,60 @@ func vetFile(path string) ([]string, error) {
 // clock read. It must sit on the same line as the time.Now call.
 const wallclockGuard = "//gia:wallclock"
 
-// collectWallclockLines records the lines carrying a //gia:wallclock
-// guard comment; time.Now findings on those lines are suppressed.
-func (v *vetter) collectWallclockLines(file *ast.File) {
-	v.wallclockOK = map[int]bool{}
+// globalGuard is the comment marker acknowledging a process-global
+// mutable map. It must sit on the same line as the variable's name.
+const globalGuard = "//gia:global"
+
+// guardedLines records the lines carrying a guard comment; findings its
+// guard covers are suppressed on those lines.
+func (v *vetter) guardedLines(file *ast.File, guard string) map[int]bool {
+	lines := map[int]bool{}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, wallclockGuard) {
-				v.wallclockOK[v.fset.Position(c.Pos()).Line] = true
+			if strings.HasPrefix(c.Text, guard) {
+				lines[v.fset.Position(c.Pos()).Line] = true
 			}
 		}
 	}
+	return lines
+}
+
+// checkGlobals flags each package-level var whose type is a map, or a
+// struct with a map field, that has no initializer and no //gia:global
+// guard on its name's line.
+func (v *vetter) checkGlobals(file *ast.File) {
+	guarded := v.guardedLines(file, globalGuard)
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Values) > 0 || !holdsMap(vs.Type) {
+				continue
+			}
+			for _, name := range vs.Names {
+				if !guarded[v.fset.Position(name.Pos()).Line] {
+					v.report(name.Pos(), "package-level map %s: process-global mutable state (build the value once and pass it, or justify with //gia:global)", name.Name)
+				}
+			}
+		}
+	}
+}
+
+// holdsMap reports whether a declared type is a map or a struct literal
+// with a map field.
+func holdsMap(t ast.Expr) bool {
+	if st, ok := t.(*ast.StructType); ok {
+		for _, f := range st.Fields.List {
+			if isMapType(f.Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return isMapType(t)
 }
 
 // importName returns the identifier the file binds an import path to

@@ -339,6 +339,8 @@ func NewScenario(prof InstallerProfile, seed int64) (*Scenario, error) {
 
 // NewScenarioPayload is NewScenario with a caller-chosen target payload; a
 // payload above one 64 KiB chunk makes the staged download multi-chunk.
+// The payload must not be modified after the call: a later call with the
+// same buffer reuses the target built from its bytes.
 func NewScenarioPayload(prof InstallerProfile, seed int64, payload []byte) (*Scenario, error) {
 	return experiment.NewScenarioPayload(prof, seed, payload)
 }

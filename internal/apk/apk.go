@@ -247,7 +247,7 @@ func (a *APK) Size() int64 { return int64(len(a.Encode())) }
 // images, and identical bytes decode to identical (immutable, shareable)
 // APKs. The cap bounds memory on corpus-scale workloads; past it, decodes
 // simply stop being cached.
-var decodeCache struct {
+var decodeCache struct { //gia:global — knockout: +78% per explore-sweep schedule, +28% per explore-orders one
 	sync.Mutex
 	m map[sig.Digest]*APK
 }

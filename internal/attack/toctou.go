@@ -150,14 +150,16 @@ type TOCTOU struct {
 // evilCache memoizes the repackaged attack APK per (original, signer,
 // payload, DRM-strip) tuple: a sweep rebuilds the identical replacement for
 // every schedule, and each repackage re-copies, re-signs and re-encodes the
-// full original. Cached APKs are shared and immutable.
-var evilCache struct {
+// full original. The original is keyed by its encoded digest, not its
+// pointer, so equal targets built apart share one entry and no key keeps a
+// target alive. Cached APKs are shared and immutable.
+var evilCache struct { //gia:global — knockout: +10% per explore-sweep schedule, ×2.9 per explore-orders one
 	sync.Mutex
 	m map[evilKey]*apk.APK
 }
 
 type evilKey struct {
-	orig    *apk.APK
+	orig    sig.Digest
 	signer  sig.Digest
 	strip   bool
 	payload string
@@ -176,7 +178,7 @@ func repackageCached(orig *apk.APK, payload map[string][]byte, key *sig.Key, str
 		sb.Write(payload[name])
 		sb.WriteByte(0)
 	}
-	k := evilKey{orig, key.Certificate().Fingerprint, strip, sb.String()}
+	k := evilKey{orig.EncodedDigest(), key.Certificate().Fingerprint, strip, sb.String()}
 	evilCache.Lock()
 	evil := evilCache.m[k]
 	evilCache.Unlock()

@@ -232,14 +232,18 @@ func (d *DAPP) onPackageAdded(in intents.Intent) {
 }
 
 // latestRecordFor finds the most recent record whose manifest names pkg.
+// Records staged at the same virtual instant are ordered by path, the
+// smallest first, so the verdict never depends on map iteration order.
 func (d *DAPP) latestRecordFor(pkg string) *record {
 	var best *record
-	for _, rec := range d.recs {
+	var bestPath string
+	for path, rec := range d.recs {
 		if rec.pkg != pkg {
 			continue
 		}
-		if best == nil || rec.downloadedAt > best.downloadedAt {
-			best = rec
+		if best == nil || rec.downloadedAt > best.downloadedAt ||
+			rec.downloadedAt == best.downloadedAt && path < bestPath {
+			best, bestPath = rec, path
 		}
 	}
 	return best

@@ -217,3 +217,25 @@ func TestDAPPAlertCallbackAndReset(t *testing.T) {
 	}
 	f.dapp.Stop()
 }
+
+// TestLatestRecordTieBreaksByPath stages two copies of one package at the
+// same virtual instant under different signers, next to an older copy at
+// a smaller path. The signer DAPP compares against must be the same on
+// every call — the later instant first, then the smallest path — whatever
+// order the record map yields.
+func TestLatestRecordTieBreaksByPath(t *testing.T) {
+	const pkg = "com.popular.app"
+	d := &DAPP{recs: map[string]*record{
+		"/sdcard/0/app.apk": {pkg: pkg, cert: sig.NewKey("old").Certificate(), downloadedAt: time.Second},
+		"/sdcard/b/app.apk": {pkg: pkg, cert: sig.NewKey("b").Certificate(), downloadedAt: 2 * time.Second},
+		"/sdcard/a/app.apk": {pkg: pkg, cert: sig.NewKey("a").Certificate(), downloadedAt: 2 * time.Second},
+		"/sdcard/c/app.apk": {pkg: "com.other.app", downloadedAt: 3 * time.Second},
+	}}
+	want := d.recs["/sdcard/a/app.apk"]
+	for i := 0; i < 64; i++ {
+		if got := d.latestRecordFor(pkg); got != want {
+			t.Fatalf("call %d: latestRecordFor picked signer %s, want %s (the same-instant record at the smallest path)",
+				i, got.cert.Fingerprint.Short(), want.cert.Fingerprint.Short())
+		}
+	}
+}

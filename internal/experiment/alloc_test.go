@@ -12,9 +12,9 @@ import (
 
 // warmSchedule returns one complete Amazon AIT hijack schedule on a warm
 // arena device, each call on the next seed, after running it once: the
-// first acquisition boots the device, and the process-wide memo caches
-// (installer and malware images, repackaged APKs, the published target)
-// fill.
+// first acquisition boots the device, the payload's target is built into
+// NewScenarioPayloadOn's one-entry memo, and the process-wide memo caches
+// (installer and malware images, repackaged APKs, decoded archives) fill.
 func warmSchedule(t *testing.T, strategy attack.Strategy, payload []byte) func() {
 	t.Helper()
 	a := arena.New(ScenarioDeviceProfile(0))
@@ -87,7 +87,7 @@ func TestOrdersAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perSchedule := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	// Measured 161 objects and ~10 KB per schedule; before the drive ended
+	// Measured 136 objects and ~10 KB per schedule; before the drive ended
 	// at quiescence and the download stopped copying, ~7,300 and ~4.5 MB.
 	const objectBudget, byteBudget = 400.0, 25_000.0
 	t.Logf("per-schedule allocations: %.0f objects (budget %.0f), %.0f bytes (budget %.0f)",

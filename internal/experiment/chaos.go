@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/arena"
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/chaos"
@@ -59,20 +60,16 @@ func runDevice(r *chaos.Run) (dev *device.Device, release func(), err error) {
 	return dev, func() {}, nil
 }
 
-// aitRun builds a store scenario from the run's seed, launches a TOCTOU
-// attack with the given strategy, drives the AIT and reports the result.
-// A non-nil payload sizes the target APK (multi-chunk downloads need more
-// than 64 KiB); patched enables the Section V-C FUSE defense.
-func aitRun(prof installer.Profile, strategy attack.Strategy, payload []byte, patched bool, r *chaos.Run) (installer.Result, error) {
+// aitRun builds a store scenario that publishes target on the run's
+// device, launches a TOCTOU attack with the given strategy, drives the AIT
+// and reports the result. patched enables the Section V-C FUSE defense.
+func aitRun(prof installer.Profile, strategy attack.Strategy, target *apk.APK, patched bool, r *chaos.Run) (installer.Result, error) {
 	dev, release, err := runDevice(r)
 	if err != nil {
 		return installer.Result{}, fmt.Errorf("device: %w", err)
 	}
 	defer release()
-	if payload == nil {
-		payload = []byte("genuine")
-	}
-	s, err := NewScenarioPayloadOn(dev, prof, payload)
+	s, err := newScenario(dev, prof, target)
 	if err != nil {
 		return installer.Result{}, fmt.Errorf("scenario: %w", err)
 	}
@@ -99,8 +96,20 @@ func aitRun(prof installer.Profile, strategy attack.Strategy, payload []byte, pa
 // one complete AIT hijack scenario per schedule, asserting the hijack
 // lands. Devices come from the worker arena when the explorer carries one.
 func HijackRunFunc(prof installer.Profile, strategy attack.Strategy) chaos.RunFunc {
+	return hijackRunFunc(prof, strategy, defaultTarget())
+}
+
+// HijackPayloadRunFunc is HijackRunFunc with a caller-chosen classes.dex
+// payload; a payload larger than one transfer chunk (64 KiB) makes the
+// download multi-chunk. The target is built here, once, and no schedule
+// reads payload again.
+func HijackPayloadRunFunc(prof installer.Profile, strategy attack.Strategy, payload []byte) chaos.RunFunc {
+	return hijackRunFunc(prof, strategy, buildTarget(payload))
+}
+
+func hijackRunFunc(prof installer.Profile, strategy attack.Strategy, target *apk.APK) chaos.RunFunc {
 	return func(r *chaos.Run) error {
-		res, err := aitRun(prof, strategy, nil, false, r)
+		res, err := aitRun(prof, strategy, target, false, r)
 		if err != nil {
 			return err
 		}
@@ -148,17 +157,7 @@ func ExplorationStudy(seed int64, workers int) ([]ExplorationRow, error) {
 	// long enough for the wait-and-see poller to contend with ~14 chunk
 	// writes; 10ms quantization turns that contention into same-instant
 	// ties (128 schedules for the default seed).
-	bigPayload := bytes.Repeat([]byte("x"), 900<<10)
-	wsHijacks := func(r *chaos.Run) error {
-		res, err := aitRun(installer.Amazon(), attack.StrategyWaitAndSee, bigPayload, false, r)
-		if err != nil {
-			return err
-		}
-		if !res.Hijacked {
-			return fmt.Errorf("hijack missed (attempts=%d, err=%v)", res.Attempts, res.Err)
-		}
-		return nil
-	}
+	wsHijacks := HijackPayloadRunFunc(installer.Amazon(), attack.StrategyWaitAndSee, bytes.Repeat([]byte("x"), 900<<10))
 	exOrd := &chaos.Explorer{
 		Workers: workers, MaxSchedules: 2000,
 		Plan:        chaos.Quantize(10*time.Millisecond, 0, 0),
@@ -182,7 +181,7 @@ func ExplorationStudy(seed int64, workers int) ([]ExplorationRow, error) {
 	rows = append(rows, explorationRow("seed x jitter sweep (legacy)", "hijack lands", ex, res, foHijacks))
 
 	patchBlocks := func(r *chaos.Run) error {
-		res, err := aitRun(installer.Amazon(), attack.StrategyFileObserver, nil, true, r)
+		res, err := aitRun(installer.Amazon(), attack.StrategyFileObserver, defaultTarget(), true, r)
 		if err != nil {
 			return err
 		}
@@ -199,17 +198,7 @@ func ExplorationStudy(seed int64, workers int) ([]ExplorationRow, error) {
 	// silently truncated, so hash verification fails, the redownload
 	// budget drains, and the hijack misses — deliberately violating the
 	// row's invariant. The harness minimizes that to a replayable token.
-	dtiPayload := bytes.Repeat([]byte("x"), 200<<10)
-	dtiHijacks := func(r *chaos.Run) error {
-		res, err := aitRun(installer.DTIgnite(), attack.StrategyFileObserver, dtiPayload, false, r)
-		if err != nil {
-			return err
-		}
-		if !res.Hijacked {
-			return fmt.Errorf("hijack missed (attempts=%d, err=%v)", res.Attempts, res.Err)
-		}
-		return nil
-	}
+	dtiHijacks := HijackPayloadRunFunc(installer.DTIgnite(), attack.StrategyFileObserver, bytes.Repeat([]byte("x"), 200<<10))
 	exFault := &chaos.Explorer{
 		Workers: workers,
 		Plan: chaos.NewFaultPlan(seed, chaos.Rule{

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -75,16 +74,7 @@ func TestExplorationStudy(t *testing.T) {
 // synthetic worlds in internal/chaos pin that).
 func TestPORSoundnessGoldenWorkload(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 900<<10)
-	fn := func(r *chaos.Run) error {
-		res, err := aitRun(installer.Amazon(), attack.StrategyWaitAndSee, payload, false, r)
-		if err != nil {
-			return err
-		}
-		if !res.Hijacked {
-			return fmt.Errorf("hijack missed (attempts=%d, err=%v)", res.Attempts, res.Err)
-		}
-		return nil
-	}
+	fn := HijackPayloadRunFunc(installer.Amazon(), attack.StrategyWaitAndSee, payload)
 	explore := func(disablePOR bool) *chaos.Result {
 		ex := &chaos.Explorer{
 			Workers: 0, MaxSchedules: 2000, DisablePOR: disablePOR,

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ghost-installer/gia/internal/apk"
@@ -36,13 +38,14 @@ type Scenario struct {
 // NewScenario boots a device, deploys the store profile, publishes the
 // target app and plants the malware.
 func NewScenario(prof installer.Profile, seed int64) (*Scenario, error) {
-	return NewScenarioPayload(prof, seed, []byte("genuine"))
+	return NewScenarioPayload(prof, seed, genuinePayload)
 }
 
 // NewScenarioPayload is NewScenario with a caller-chosen classes.dex
 // payload; a payload larger than one transfer chunk (64 KiB) makes the
 // download multi-chunk, which the chaos fault rows rely on to truncate a
-// transfer mid-flight.
+// transfer mid-flight. The payload must not be modified after the call
+// (see NewScenarioPayloadOn).
 func NewScenarioPayload(prof installer.Profile, seed int64, payload []byte) (*Scenario, error) {
 	dev, err := device.Boot(ScenarioDeviceProfile(seed))
 	if err != nil {
@@ -61,47 +64,75 @@ func ScenarioDeviceProfile(seed int64) device.Profile {
 // NewScenarioOn builds the store + target + malware fixture on an
 // already-booted (or arena-acquired) device.
 func NewScenarioOn(dev *device.Device, prof installer.Profile) (*Scenario, error) {
-	return NewScenarioPayloadOn(dev, prof, []byte("genuine"))
+	return newScenario(dev, prof, defaultTarget())
 }
 
-// targetCache memoizes the published target APK by payload: a sweep builds
-// the identical artifact for every schedule, and signing keys are
-// deterministic per subject, so the build (clone + sign + encode) is a
-// one-time cost per distinct payload. Cached targets are shared across
-// scenarios and must be treated as immutable — attacks repackage, never
+// genuinePayload is the classes.dex of the default target.
+var genuinePayload = []byte("genuine")
+
+// buildTarget builds and signs the published target app around payload.
+// Signing keys are deterministic per subject, so equal payloads build
+// byte-identical targets. A target is shared by every scenario that
+// publishes it and must be treated as immutable: attacks repackage, never
 // mutate.
-var targetCache struct {
-	sync.Mutex
-	m map[string]*apk.APK
-}
-
-func targetAPK(payload []byte) *apk.APK {
-	targetCache.Lock()
-	target := targetCache.m[string(payload)]
-	targetCache.Unlock()
-	if target != nil {
-		return target
-	}
-	target = apk.Build(apk.Manifest{
+func buildTarget(payload []byte) *apk.APK {
+	return apk.Build(apk.Manifest{
 		Package: TargetPackage, VersionCode: 1, Label: "Popular App", Icon: "icon-popular",
 		UsesPerms: []string{perm.Internet},
 	}, map[string][]byte{"classes.dex": payload}, sig.NewKey("popular-dev"))
-	targetCache.Lock()
-	if targetCache.m == nil {
-		targetCache.m = make(map[string]*apk.APK)
-	}
-	targetCache.m[string(payload)] = target
-	targetCache.Unlock()
-	return target
 }
 
-// NewScenarioPayloadOn is NewScenarioOn with a caller-chosen payload.
+// defaultTarget is the target built from genuinePayload, once per process.
+var defaultTarget = sync.OnceValue(func() *apk.APK { return buildTarget(genuinePayload) })
+
+// payloadTarget is the one entry of NewScenarioPayloadOn's memo: the
+// caller's payload slice and the target built from it.
+type payloadTarget struct {
+	payload []byte
+	target  *apk.APK
+}
+
+var lastTarget atomic.Pointer[payloadTarget]
+
+// targetFor resolves payload to its target through a one-entry memo with
+// no lock. The built-in payload is defaultTarget. Any other payload reuses
+// the last target built when it is the same buffer (same first byte and
+// length, as market.Listing.IsContent tests), which costs one atomic load,
+// or holds equal bytes; otherwise a new target is built and replaces the
+// entry. The entry holds the slice, so its address cannot be handed to
+// another allocation while the identity test can see it.
+func targetFor(payload []byte) *apk.APK {
+	if bytes.Equal(payload, genuinePayload) {
+		return defaultTarget()
+	}
+	if e := lastTarget.Load(); e != nil && (sameBuffer(e.payload, payload) || bytes.Equal(e.payload, payload)) {
+		return e.target
+	}
+	t := buildTarget(payload)
+	lastTarget.Store(&payloadTarget{payload: payload, target: t})
+	return t
+}
+
+// sameBuffer reports whether a and b are the same bytes in memory.
+func sameBuffer(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// NewScenarioPayloadOn is NewScenarioOn with a caller-chosen payload,
+// resolved to its target by targetFor. The payload must not be modified
+// after the call, or a later call with the same buffer publishes the
+// target of its old bytes.
 func NewScenarioPayloadOn(dev *device.Device, prof installer.Profile, payload []byte) (*Scenario, error) {
+	return newScenario(dev, prof, targetFor(payload))
+}
+
+// newScenario deploys the store profile on dev, publishes target and
+// plants the malware.
+func newScenario(dev *device.Device, prof installer.Profile, target *apk.APK) (*Scenario, error) {
 	store, err := installer.Deploy(dev, prof, nil)
 	if err != nil {
 		return nil, err
 	}
-	target := targetAPK(payload)
 	store.Store.Publish(target)
 	mal, err := attack.DeployMalware(dev, "com.fun.game")
 	if err != nil {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,16 +27,7 @@ func flightDumpSet(t *testing.T, workers int, seeds []int64) map[string][]byte {
 	tr.SetWallClock(nil) // virtual-only: the determinism precondition
 	tr.SetRingDepth(256)
 	payload := bytes.Repeat([]byte("x"), 200<<10)
-	fn := func(r *chaos.Run) error {
-		res, err := aitRun(installer.DTIgnite(), attack.StrategyFileObserver, payload, false, r)
-		if err != nil {
-			return err
-		}
-		if !res.Hijacked {
-			return fmt.Errorf("hijack missed (attempts=%d, err=%v)", res.Attempts, res.Err)
-		}
-		return nil
-	}
+	fn := HijackPayloadRunFunc(installer.DTIgnite(), attack.StrategyFileObserver, payload)
 	ex := &chaos.Explorer{
 		Workers: workers,
 		Plan: chaos.NewFaultPlan(seeds[0], chaos.Rule{
@@ -149,16 +139,7 @@ func TestFlightDumpContents(t *testing.T) {
 // the worst case — two files per schedule).
 func BenchmarkFlightRecorder(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 200<<10)
-	fn := func(r *chaos.Run) error {
-		res, err := aitRun(installer.DTIgnite(), attack.StrategyFileObserver, payload, false, r)
-		if err != nil {
-			return err
-		}
-		if !res.Hijacked {
-			return fmt.Errorf("hijack missed (attempts=%d, err=%v)", res.Attempts, res.Err)
-		}
-		return nil
-	}
+	fn := HijackPayloadRunFunc(installer.DTIgnite(), attack.StrategyFileObserver, payload)
 	run := func(b *testing.B, tr *obs.Trace, dumpDir string) {
 		seeds := make([]int64, b.N)
 		for i := range seeds {

@@ -119,7 +119,7 @@ func (a *App) Instrument(reg *obs.Registry, track *obs.Track) {
 // function of the profile and its derived signing key, and the sweeps and
 // fleet studies deploy the same handful of stores onto thousands of
 // devices. Cached images are shared and must stay immutable.
-var imageCache struct {
+var imageCache struct { //gia:global — knockout: +70% per explore-sweep schedule, +9% per explore-orders one
 	sync.Mutex
 	m map[Profile]*apk.APK
 }

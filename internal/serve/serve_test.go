@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -396,4 +397,64 @@ func TestDeriveSeedDisperses(t *testing.T) {
 func ExampleStoreNames() {
 	fmt.Println(strings.Join(StoreNames()[:3], ","))
 	// Output: amazon,amazon-v2,apkpure
+}
+
+// TestCreateDeleteReleasesPayloads runs create(+attack)+delete cycles
+// with payloads of their own. Once a device is deleted nothing may keep
+// its target alive, so the heap after GC must stay near where it started.
+func TestCreateDeleteReleasesPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		attack  bool
+		cycles  int
+		payload func(i int) int
+		budget  int64
+	}{
+		// Distinct ~1 MiB payloads: one retained target per cycle (payload,
+		// its copy in the APK and the encoded archive) would hold >100 MiB.
+		{"distinct", false, 40, func(i int) int { return 1<<20 + i }, 16 << 20},
+		// Two payloads, alternating, each device attacked: the one-entry
+		// target memo rebuilds the other payload's target on every switch,
+		// so the attack's repackage must be shared by equal targets.
+		{"alternating-attacked", true, 24, func(i int) int { return 256<<10 + i%2 }, 8 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newTestFleet(t, Config{Shards: 1, Seed: 13})
+			cycle := func(i int) {
+				info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon", PayloadBytes: tc.payload(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.attack {
+					if _, err := f.Attack(info.ID, AttackRequest{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.DeleteDevice(info.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm-up: boots the shard's pooled device and fills the image
+			// caches.
+			cycle(0)
+			cycle(1)
+			before := heapAfterGC()
+			for i := 2; i < 2+tc.cycles; i++ {
+				cycle(i)
+			}
+			growth := int64(heapAfterGC()) - int64(before)
+			t.Logf("heap growth after %d cycles: %.1f MiB", tc.cycles, float64(growth)/(1<<20))
+			if growth > tc.budget {
+				t.Fatalf("%d cycles retained %.1f MiB, budget %d MiB", tc.cycles, float64(growth)/(1<<20), tc.budget>>20)
+			}
+		})
+	}
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

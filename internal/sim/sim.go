@@ -213,12 +213,7 @@ func (s *Scheduler) Uniform(lo, hi time.Duration) time.Duration {
 // (t earlier than Now) clamps to the present: the event fires on the next
 // Step. The returned Timer can cancel the event before it fires.
 func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
-	return s.timer(t, fn, false)
-}
-
-// timer is At with the tick flag: a Ticker arms its ticks through it.
-func (s *Scheduler) timer(t time.Duration, fn func(), tick bool) *Timer {
-	tm := s.schedule(t, fn, Footprint{}, tick)
+	tm := s.schedule(t, fn, Footprint{}, false)
 	return &tm
 }
 

@@ -389,7 +389,8 @@ func TestTimerCancelAfterFireIsNoop(t *testing.T) {
 
 // TestSchedulerAllocBudget pins the per-event cost of the simulator hot
 // path: in steady state, scheduling (AfterFn) plus dispatching an event
-// through the pooled heap must not allocate at all.
+// through the pooled heap must not allocate at all, and neither must a
+// ticker's tick and re-arm.
 func TestSchedulerAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -419,5 +420,17 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	})
 	if perEvent > budget {
 		t.Fatalf("schedule+RunUntilIdle allocates %.2f objects/event, budget %.2f", perEvent, budget)
+	}
+	// A Ticker re-arms on every tick. Its Timer is held by value and its
+	// tick method bound once, so a poller's tick allocates nothing either.
+	ticks := 0
+	NewTicker(s, time.Millisecond, func(time.Duration) bool { ticks++; return true })
+	s.Step()
+	perTick := testing.AllocsPerRun(2000, func() { s.Step() })
+	if perTick > budget {
+		t.Fatalf("ticker tick+re-arm allocates %.2f objects/tick, budget %.2f", perTick, budget)
+	}
+	if ticks < 2000 {
+		t.Fatalf("ticker fired %d times, want every step to tick", ticks)
 	}
 }

@@ -9,7 +9,8 @@ type Ticker struct {
 	s       *Scheduler
 	period  time.Duration
 	fn      func(now time.Duration) bool
-	timer   *Timer
+	tickFn  func() // t.tick, bound once so a re-arm allocates nothing
+	timer   Timer
 	stopped bool
 }
 
@@ -20,6 +21,7 @@ func NewTicker(s *Scheduler, period time.Duration, fn func(now time.Duration) bo
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{s: s, period: period, fn: fn}
+	t.tickFn = t.tick
 	t.arm()
 	return t
 }
@@ -27,16 +29,18 @@ func NewTicker(s *Scheduler, period time.Duration, fn func(now time.Duration) bo
 // arm schedules the next tick. Ticks are marked as such, so a drive through
 // RunUntilIdle does not wait on a ticker that would re-arm forever.
 func (t *Ticker) arm() {
-	t.timer = t.s.timer(t.s.Now()+t.period, func() {
-		if t.stopped {
-			return
-		}
-		if !t.fn(t.s.Now()) {
-			t.stopped = true
-			return
-		}
-		t.arm()
-	}, true)
+	t.timer = t.s.schedule(t.s.Now()+t.period, t.tickFn, Footprint{}, true)
+}
+
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	if !t.fn(t.s.Now()) {
+		t.stopped = true
+		return
+	}
+	t.arm()
 }
 
 // Stop cancels the ticker. Stopping twice is a no-op.
@@ -45,9 +49,7 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	if t.timer != nil {
-		t.timer.Cancel()
-	}
+	t.timer.Cancel()
 }
 
 // Stopped reports whether the ticker has been stopped (by Stop or by the
