@@ -77,15 +77,13 @@ func run(storeName, strategyName, defenseName string, seed int64, showTimeline b
 	if err != nil {
 		return err
 	}
-	var rec *gia.Timeline
+	var timeline *gia.ObsTrack
 	if showTimeline {
-		rec = gia.NewTimeline(scenario.Dev)
-		defer rec.Close()
-		if err := rec.WatchFS(scenario.Dev.FS, prof.StagingDir); err != nil {
+		var stop func()
+		if timeline, stop, err = gia.NewTimeline(scenario.Dev, prof.StagingDir); err != nil {
 			return err
 		}
-		rec.WatchPackages(scenario.Dev.PMS)
-		rec.WatchFirewall(scenario.Dev.AMS.Firewall())
+		defer stop()
 	}
 	var dapp *gia.DAPP
 	switch defenseName {
@@ -97,8 +95,10 @@ func run(storeName, strategyName, defenseName string, seed int64, showTimeline b
 		if err != nil {
 			return err
 		}
-		if rec != nil {
-			rec.WatchDAPP(dapp)
+		if timeline != nil {
+			dapp.OnAlert(func(a gia.DAPPAlert) {
+				timeline.Instant("dapp", fmt.Sprintf("%s %s: %s", a.Kind, a.Package, a.Detail))
+			})
 		}
 	default:
 		return fmt.Errorf("unknown defense %q", defenseName)
@@ -132,12 +132,10 @@ func run(storeName, strategyName, defenseName string, seed int64, showTimeline b
 			fmt.Printf("  %s %s: %s\n", a.Kind, a.Package, a.Detail)
 		}
 	}
-	if rec != nil {
-		rec.RecordAIT(res)
+	if timeline != nil {
+		res.Record(timeline)
 		fmt.Println("\nmerged device timeline:")
-		if err := rec.Render(os.Stdout); err != nil {
-			return err
-		}
+		return gia.WriteTimeline(os.Stdout, timeline)
 	}
 	return nil
 }

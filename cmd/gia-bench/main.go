@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"github.com/ghost-installer/gia"
 )
@@ -82,9 +81,10 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(tr, *tracePath); err != nil {
-			log.Fatal(err)
+		if err := tr.WriteFile(*tracePath); err != nil {
+			log.Fatalf("write trace: %v", err)
 		}
+		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
 	}
 	if reg != nil {
 		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
@@ -129,24 +129,4 @@ func main() {
 	for _, tab := range tables {
 		fmt.Println(tab.Render())
 	}
-}
-
-func writeTrace(tr *gia.ObsTrace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChrome(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "trace written to %s\n", path)
-	return nil
 }

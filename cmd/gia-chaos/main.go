@@ -152,19 +152,7 @@ func main() {
 // runs even when the invariant verdict will exit nonzero.
 func writeObservability(o options) error {
 	if o.tr != nil && o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(o.tracePath, ".jsonl") {
-			err = o.tr.WriteJSONL(f)
-		} else {
-			err = o.tr.WriteChrome(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := o.tr.WriteFile(o.tracePath); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", o.tracePath)
@@ -250,14 +238,13 @@ func invariant(o options) (func(r *gia.ChaosRun) error, error) {
 			gia.InstrumentDevice(s.Dev, o.reg, nil)
 			s.Store.Instrument(o.reg, nil)
 		}
-		var rec *gia.Timeline
+		var timeline *gia.ObsTrack
 		if o.tr != nil {
-			rec = gia.NewTimeline(s.Dev)
-			if err := rec.WatchFS(s.Dev.FS, prof.StagingDir); err != nil {
+			var stop func()
+			if timeline, stop, err = gia.NewTimeline(s.Dev, prof.StagingDir); err != nil {
 				return fmt.Errorf("trace: %w", err)
 			}
-			rec.WatchPackages(s.Dev.PMS)
-			rec.WatchFirewall(s.Dev.AMS.Firewall())
+			defer stop()
 		}
 		atk := gia.NewTOCTOU(s.Mal, gia.AttackConfigForStore(prof, strategy), s.Target)
 		if err := atk.Launch(); err != nil {
@@ -265,12 +252,13 @@ func invariant(o options) (func(r *gia.ChaosRun) error, error) {
 		}
 		res := s.RunAIT()
 		atk.Stop()
-		if rec != nil {
+		if timeline != nil {
 			// The run's trace lane is the merged device timeline — the same
 			// event stream the golden TOCTOU timeline pins.
-			rec.RecordAIT(res)
-			rec.ExportSpans(r.Track())
-			rec.Close()
+			res.Record(timeline)
+			for _, ev := range timeline.Sorted().Events() {
+				r.Track().InstantAt(ev.Start, ev.Name, ev.Detail)
+			}
 		}
 		if patched {
 			if res.Hijacked {

@@ -31,7 +31,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 
 	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/apk"
@@ -77,36 +76,16 @@ func main() {
 		log.Fatal(err)
 	}
 	if tr != nil {
-		if err := writeTrace(tr, *tracePath); err != nil {
-			log.Fatal(err)
+		if err := tr.WriteFile(*tracePath); err != nil {
+			log.Fatalf("write trace: %v", err)
 		}
+		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
 	}
 	if reg != nil {
 		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-// writeTrace flushes the scan trace in the format the file extension picks.
-func writeTrace(tr *obs.Trace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChrome(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "trace written to %s\n", path)
-	return nil
 }
 
 // jsonFinding is one finding in -json output.

@@ -14,10 +14,12 @@ import (
 )
 
 // runSmoke drives one device through the daemon's full HTTP lifecycle:
-// create (with timeline) → status → install → attack → timeline → chaos
-// replay → metrics scrape → reclaim. Any deviation from the expected
-// simulation outcome (clean install, successful hijack on an unpatched
-// store, counters present in /metrics) is a failure.
+// create → status → install → attack → flight-ring trace → chaos replay →
+// metrics scrape → reclaim, and checks that a create sending the unknown
+// field "timeline" is refused with 400. Any deviation from the
+// expected simulation outcome (clean install, successful hijack on an
+// unpatched store, both AITs on the device's ring, counters present in
+// /metrics) is a failure.
 func runSmoke(base string) error {
 	base = strings.TrimRight(base, "/")
 	client := &http.Client{Timeout: 60 * time.Second}
@@ -29,7 +31,7 @@ func runSmoke(base string) error {
 	}
 
 	var dev serve.DeviceInfo
-	if err := postJSON(client, base+"/devices", serve.CreateDeviceRequest{Store: "amazon", Timeline: true}, &dev); err != nil {
+	if err := postJSON(client, base+"/devices", serve.CreateDeviceRequest{Store: "amazon"}, &dev); err != nil {
 		return fmt.Errorf("create device: %w", err)
 	}
 	if dev.ID == "" {
@@ -60,14 +62,26 @@ func runSmoke(base string) error {
 		return fmt.Errorf("attack on unpatched amazon device did not hijack: %+v", atk)
 	}
 
-	var tl struct {
-		Entries []serve.TimelineEntry `json:"entries"`
+	// The flight ring is the device's one recorder: it must hold both
+	// AITs' step instants and their outcome spans.
+	trace, err := get(client, base+"/devices/"+dev.ID+"/trace")
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	if err := getJSON(client, base+"/devices/"+dev.ID+"/timeline", &tl); err != nil {
-		return fmt.Errorf("timeline: %w", err)
+	for _, want := range []string{`"name":"invocation"`, `"name":"installed"`, `"detail":"clean"`, `"detail":"hijacked"`} {
+		if !strings.Contains(string(trace), want) {
+			return fmt.Errorf("device trace lacks %s after install+attack:\n%s", want, trace)
+		}
 	}
-	if len(tl.Entries) == 0 {
-		return fmt.Errorf("timeline empty after install+attack")
+
+	resp, err := client.Post(base+"/devices", "application/json", strings.NewReader(`{"timeline":true}`))
+	if err != nil {
+		return fmt.Errorf("create with timeline: %w", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		return fmt.Errorf("create with timeline: status %d, want 400", resp.StatusCode)
 	}
 
 	var rep serve.ReplayResult
@@ -93,7 +107,7 @@ func runSmoke(base string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := client.Do(req)
+	resp, err = client.Do(req)
 	if err != nil {
 		return fmt.Errorf("reclaim: %w", err)
 	}

@@ -51,7 +51,6 @@ import (
 	"github.com/ghost-installer/gia/internal/perm"
 	"github.com/ghost-installer/gia/internal/sig"
 	"github.com/ghost-installer/gia/internal/sim"
-	"github.com/ghost-installer/gia/internal/timeline"
 	"github.com/ghost-installer/gia/internal/vfs"
 )
 
@@ -305,12 +304,24 @@ func ScanCorpusArtifacts(apps []AppMeta, workers int) ([]ExtractedMeta, ScanStat
 	return measure.ScanArtifacts(apps, workers)
 }
 
-// Timeline is a merged virtual-time event recorder (fs + pm + firewall +
-// DAPP + AIT), the textual equivalent of the paper's attack demos.
-type Timeline = timeline.Recorder
+// NewTimeline records dev's merged event timeline — filesystem events
+// under dirs, package changes and IntentFirewall alerts — onto a fresh
+// virtual-time track bound to dev's clock: the textual equivalent of the
+// paper's attack demos. Merge an AIT in with InstallResult.Record once it
+// completes, and add other events (DAPP alerts) with the track's Instant.
+// stop closes the filesystem watches.
+func NewTimeline(dev *Device, dirs ...string) (k *ObsTrack, stop func(), err error) {
+	k = new(ObsTrack)
+	k.SetClock(dev.Sched.Now)
+	if stop, err = dev.Record(k, dirs...); err != nil {
+		return nil, nil, err
+	}
+	return k, stop, nil
+}
 
-// NewTimeline creates a recorder on a device's clock.
-func NewTimeline(dev *Device) *Timeline { return timeline.New(dev.Sched.Now) }
+// WriteTimeline renders a timeline track as text, one line per event in
+// start-time order.
+func WriteTimeline(w io.Writer, k *ObsTrack) error { return obs.WriteText(w, k.Sorted()) }
 
 // Experiments.
 type (

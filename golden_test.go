@@ -12,25 +12,34 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files instead of diffing")
 
-// TestGoldenTOCTOUTimeline pins the FileObserver TOCTOU's full event
+// TestGoldenTOCTOUTimeline pins the FileObserver TOCTOU's merged device
 // timeline for a fixed seed: every filesystem event in the staging dir,
-// every package change and the AIT outcome, in virtual-time order. Any
+// every package change and the AIT's steps, in virtual-time order. Any
 // change to scheduler ordering, installer timing or attacker reaction shows
 // up as a diff against testdata/toctou_timeline.golden; regenerate
 // deliberately with `go test -run TestGoldenTOCTOUTimeline -update`.
 func TestGoldenTOCTOUTimeline(t *testing.T) {
+	var text bytes.Buffer
+	if err := gia.WriteTimeline(&text, recordTOCTOUTimeline(t)); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "toctou_timeline.golden", text.Bytes())
+}
+
+// recordTOCTOUTimeline runs the fixed-seed FileObserver TOCTOU fixture and
+// returns its merged device timeline with the AIT's steps recorded in.
+func recordTOCTOUTimeline(t *testing.T) *gia.ObsTrack {
+	t.Helper()
 	prof := gia.AmazonProfile()
 	scenario, err := gia.NewScenario(prof, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := gia.NewTimeline(scenario.Dev)
-	defer rec.Close()
-	if err := rec.WatchFS(scenario.Dev.FS, prof.StagingDir); err != nil {
+	timeline, stop, err := gia.NewTimeline(scenario.Dev, prof.StagingDir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec.WatchPackages(scenario.Dev.PMS)
-	rec.WatchFirewall(scenario.Dev.AMS.Firewall())
+	defer stop()
 
 	atk := gia.NewTOCTOU(scenario.Mal, gia.AttackConfigForStore(prof, gia.StrategyFileObserver), scenario.Target)
 	if err := atk.Launch(); err != nil {
@@ -41,15 +50,15 @@ func TestGoldenTOCTOUTimeline(t *testing.T) {
 	if !res.Hijacked {
 		t.Fatalf("fixed-seed TOCTOU did not hijack: %v", res.Err)
 	}
-	rec.RecordAIT(res)
+	res.Record(timeline)
+	return timeline
+}
 
-	var buf bytes.Buffer
-	if err := rec.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-
-	golden := filepath.Join("testdata", "toctou_timeline.golden")
+// checkGolden diffs got against testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -65,7 +74,7 @@ func TestGoldenTOCTOUTimeline(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("timeline drifted from %s (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s",
+		t.Errorf("output drifted from %s (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s",
 			golden, firstDiffWindow(got, want), firstDiffWindow(want, got))
 	}
 }

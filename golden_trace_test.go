@@ -2,11 +2,9 @@ package gia_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/ghost-installer/gia"
 )
@@ -14,45 +12,25 @@ import (
 // renderTOCTOUTrace runs the same fixed-seed FileObserver TOCTOU fixture as
 // TestGoldenTOCTOUTimeline and exports the merged device timeline as a
 // Chrome trace: one virtual-time track carrying every fs, package, firewall
-// and AIT event.
+// and AIT event as an instant.
 func renderTOCTOUTrace(t *testing.T) ([]byte, *gia.ObsTrack) {
 	t.Helper()
-	prof := gia.AmazonProfile()
-	scenario, err := gia.NewScenario(prof, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := gia.NewTimeline(scenario.Dev)
-	defer rec.Close()
-	if err := rec.WatchFS(scenario.Dev.FS, prof.StagingDir); err != nil {
-		t.Fatal(err)
-	}
-	rec.WatchPackages(scenario.Dev.PMS)
-	rec.WatchFirewall(scenario.Dev.AMS.Firewall())
-
-	atk := gia.NewTOCTOU(scenario.Mal, gia.AttackConfigForStore(prof, gia.StrategyFileObserver), scenario.Target)
-	if err := atk.Launch(); err != nil {
-		t.Fatal(err)
-	}
-	res := scenario.RunAIT()
-	atk.Stop()
-	if !res.Hijacked {
-		t.Fatalf("fixed-seed TOCTOU did not hijack: %v", res.Err)
-	}
-	rec.RecordAIT(res)
+	timeline := recordTOCTOUTimeline(t)
 
 	tr := gia.NewObsTrace()
 	// Virtual time only: the wall domain would embed real durations and
 	// break byte-for-byte reproducibility.
 	tr.SetWallClock(nil)
-	track := tr.VirtualTrack("device")
-	rec.ExportSpans(track)
+	device := tr.VirtualTrack("device")
+	for _, ev := range timeline.Sorted().Events() {
+		device.InstantAt(ev.Start, ev.Name, ev.Detail)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), track
+	return buf.Bytes(), device
 }
 
 // TestGoldenTOCTOUTrace pins the Chrome-trace export of the FileObserver
@@ -61,7 +39,7 @@ func renderTOCTOUTrace(t *testing.T) ([]byte, *gia.ObsTrack) {
 // byte-identical across runs; regenerate deliberately with
 // `go test -run TestGoldenTOCTOUTrace -update`.
 func TestGoldenTOCTOUTrace(t *testing.T) {
-	got, track := renderTOCTOUTrace(t)
+	got, device := renderTOCTOUTrace(t)
 	again, _ := renderTOCTOUTrace(t)
 	if !bytes.Equal(got, again) {
 		t.Fatalf("trace export is not deterministic across runs:\n--- first ---\n%s\n--- second ---\n%s",
@@ -69,15 +47,16 @@ func TestGoldenTOCTOUTrace(t *testing.T) {
 	}
 
 	// Every trace event must agree, field for field, with the golden
-	// timeline: re-rendering the track in the timeline's own line format
-	// must reproduce toctou_timeline.golden exactly.
-	var lines bytes.Buffer
-	for _, ev := range track.Events() {
+	// timeline: rendering the device track in the timeline's own text
+	// format must reproduce toctou_timeline.golden exactly.
+	for _, ev := range device.Events() {
 		if !ev.Instant {
 			t.Fatalf("timeline export produced a non-instant event: %+v", ev)
 		}
-		fmt.Fprintf(&lines, "[%10.3fms] %-8s %s\n",
-			float64(ev.Start)/float64(time.Millisecond), ev.Name, ev.Detail)
+	}
+	var lines bytes.Buffer
+	if err := gia.WriteTimeline(&lines, device); err != nil {
+		t.Fatal(err)
 	}
 	timelineGolden, err := os.ReadFile(filepath.Join("testdata", "toctou_timeline.golden"))
 	if err != nil {
@@ -88,23 +67,5 @@ func TestGoldenTOCTOUTrace(t *testing.T) {
 			firstDiffWindow(lines.Bytes(), timelineGolden), firstDiffWindow(timelineGolden, lines.Bytes()))
 	}
 
-	golden := filepath.Join("testdata", "toctou_trace.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("trace drifted from %s (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s",
-			golden, firstDiffWindow(got, want), firstDiffWindow(want, got))
-	}
+	checkGolden(t, "toctou_trace.golden", got)
 }

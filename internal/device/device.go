@@ -14,6 +14,7 @@ import (
 	"github.com/ghost-installer/gia/internal/fuse"
 	"github.com/ghost-installer/gia/internal/intents"
 	"github.com/ghost-installer/gia/internal/market"
+	"github.com/ghost-installer/gia/internal/obs"
 	"github.com/ghost-installer/gia/internal/perm"
 	"github.com/ghost-installer/gia/internal/pia"
 	"github.com/ghost-installer/gia/internal/pm"
@@ -336,6 +337,40 @@ func (d *Device) Snapshot() Snapshot {
 	s.DMHealthy = d.DM.Healthy()
 	s.Foreground, _ = d.Procs.Foreground()
 	return s
+}
+
+// Record writes what the device shows an observer onto k as virtual-time
+// instants: filesystem events under dirs ("fs"), package changes ("pm")
+// and IntentFirewall alerts ("firewall"). With an AIT's steps merged in
+// (installer.Result.Record, then Track.Sorted) this is the textual
+// equivalent of the paper's attack demos. stop closes the filesystem
+// watches; the package and firewall hooks last until the device's next
+// Reset.
+func (d *Device) Record(k *obs.Track, dirs ...string) (stop func(), err error) {
+	var watches []*vfs.Watch
+	stop = func() {
+		for _, w := range watches {
+			w.Close()
+		}
+	}
+	for _, dir := range dirs {
+		w, err := d.FS.Watch(dir, vfs.EvAll, func(ev vfs.Event) {
+			k.InstantAt(d.Sched.Now(), "fs", ev.String())
+		})
+		if err != nil {
+			stop()
+			return nil, fmt.Errorf("device: watch %s: %w", dir, err)
+		}
+		watches = append(watches, w)
+	}
+	d.PMS.Subscribe(func(ev pm.Event) {
+		k.InstantAt(d.Sched.Now(), "pm", fmt.Sprintf("%s %s (uid %d)", ev.Action, ev.Package, ev.UID))
+	})
+	d.AMS.Firewall().OnAlert(func(a intents.Alert) {
+		k.InstantAt(d.Sched.Now(), "firewall", fmt.Sprintf("redirect suspected at %s: %s then %s within %v",
+			a.Recipient, a.FirstSender, a.SecondSender, a.Gap))
+	})
+	return stop, nil
 }
 
 // StartForeground registers a foreground service for pkg, pinning a

@@ -17,8 +17,8 @@ import (
 	"github.com/ghost-installer/gia/internal/fault"
 	"github.com/ghost-installer/gia/internal/installer"
 	"github.com/ghost-installer/gia/internal/intents"
+	"github.com/ghost-installer/gia/internal/obs"
 	"github.com/ghost-installer/gia/internal/sig"
-	"github.com/ghost-installer/gia/internal/timeline"
 	"github.com/ghost-installer/gia/internal/vfs"
 )
 
@@ -82,8 +82,6 @@ func toctouDrive(prof installer.Profile, strategy attack.Strategy) func(defenseC
 	return func(def defenseCase) devicetest.Drive {
 		return func(dev *device.Device) (string, error) {
 			var b strings.Builder
-			tl := timeline.New(dev.Sched.Now)
-			defer tl.Close()
 			s, err := experiment.NewScenarioOn(dev, prof)
 			if err != nil {
 				return "", err
@@ -92,24 +90,25 @@ func toctouDrive(prof installer.Profile, strategy attack.Strategy) func(defenseC
 			if err != nil {
 				return "", err
 			}
-			if err := tl.WatchFS(dev.FS, prof.StagingDir); err != nil {
+			tl := new(obs.Track)
+			stop, err := dev.Record(tl, prof.StagingDir)
+			if err != nil {
 				return "", err
 			}
-			tl.WatchPackages(dev.PMS)
-			tl.WatchFirewall(dev.AMS.Firewall())
+			defer stop()
 			atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, strategy), s.Target)
 			if err := atk.Launch(); err != nil {
 				return "", err
 			}
 			res := s.RunAIT()
 			atk.Stop()
-			tl.RecordAIT(res)
+			res.Record(tl)
 			fmt.Fprintf(&b, "hijacked=%v attempts=%d replacements=%d err=%v\n",
 				res.Hijacked, res.Attempts, len(atk.Replacements()), res.Err)
 			if rep != nil {
 				rep(&b)
 			}
-			if err := tl.Render(&b); err != nil {
+			if err := obs.WriteText(&b, tl.Sorted()); err != nil {
 				return "", err
 			}
 			return b.String(), nil
@@ -122,16 +121,16 @@ func toctouDrive(prof installer.Profile, strategy attack.Strategy) func(defenseC
 func dmDrive(def defenseCase) devicetest.Drive {
 	return func(dev *device.Device) (string, error) {
 		var b strings.Builder
-		tl := timeline.New(dev.Sched.Now)
-		defer tl.Close()
 		rep, err := def.apply(dev, []string{"/sdcard/Download"})
 		if err != nil {
 			return "", err
 		}
-		if err := tl.WatchFS(dev.FS, "/sdcard/Download"); err != nil {
+		tl := new(obs.Track)
+		stop, err := dev.Record(tl, "/sdcard/Download")
+		if err != nil {
 			return "", err
 		}
-		tl.WatchPackages(dev.PMS)
+		defer stop()
 		mal, err := attack.DeployMalware(dev, "com.fun.game")
 		if err != nil {
 			return "", err
@@ -160,7 +159,7 @@ func dmDrive(def defenseCase) devicetest.Drive {
 		if rep != nil {
 			rep(&b)
 		}
-		if err := tl.Render(&b); err != nil {
+		if err := obs.WriteText(&b, tl.Sorted()); err != nil {
 			return "", err
 		}
 		return b.String(), nil
@@ -172,8 +171,6 @@ func dmDrive(def defenseCase) devicetest.Drive {
 func redirectDrive(def defenseCase) devicetest.Drive {
 	return func(dev *device.Device) (string, error) {
 		var b strings.Builder
-		tl := timeline.New(dev.Sched.Now)
-		defer tl.Close()
 		if _, err := installer.Deploy(dev, installer.GooglePlay(), nil); err != nil {
 			return "", err
 		}
@@ -189,8 +186,10 @@ func redirectDrive(def defenseCase) devicetest.Drive {
 		if err != nil {
 			return "", err
 		}
-		tl.WatchPackages(dev.PMS)
-		tl.WatchFirewall(dev.AMS.Firewall())
+		tl := new(obs.Track)
+		if _, err := dev.Record(tl); err != nil {
+			return "", err
+		}
 		mal, err := attack.DeployMalware(dev, "com.fun.game")
 		if err != nil {
 			return "", err
@@ -220,7 +219,7 @@ func redirectDrive(def defenseCase) devicetest.Drive {
 		if rep != nil {
 			rep(&b)
 		}
-		if err := tl.Render(&b); err != nil {
+		if err := obs.WriteText(&b, tl.Sorted()); err != nil {
 			return "", err
 		}
 		return b.String(), nil

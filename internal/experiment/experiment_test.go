@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -199,6 +200,39 @@ func TestDefenseLOCSane(t *testing.T) {
 	total := loc["dapp"] + loc["fuse"] + loc["detection"] + loc["origin"]
 	if total > 800 {
 		t.Errorf("total defense LOC = %d — no longer lightweight", total)
+	}
+}
+
+// TestDefenseLOCMatchesSources recounts Table VII's LOC column from the
+// defense sources, so the pinned figures fail loudly when a defense file
+// changes size.
+func TestDefenseLOCMatchesSources(t *testing.T) {
+	countLOC := func(path string) int {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			trimmed := strings.TrimSpace(line)
+			if trimmed != "" && !strings.HasPrefix(trimmed, "//") {
+				n++
+			}
+		}
+		return n
+	}
+	firewall := countLOC("../intents/firewall.go")
+	want := map[string]int{
+		"dapp":      countLOC("../defense/dapp.go"),
+		"fuse":      countLOC("../fuse/fuse.go"),
+		"detection": firewall * 7 / 10,
+		"origin":    firewall - firewall*7/10,
+	}
+	got := DefenseLOC()
+	for _, key := range []string{"dapp", "fuse", "detection", "origin"} {
+		if got[key] != want[key] {
+			t.Errorf("DefenseLOC()[%q] = %d, the sources count %d: update the pinned figures", key, got[key], want[key])
+		}
 	}
 }
 

@@ -2,10 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"strings"
 
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/defense"
@@ -109,56 +105,12 @@ func verifyFUSE(seed int64) (bool, error) {
 	return res.Clean() && len(atk.Replacements()) == 0, nil
 }
 
-// Recorded defense sizes, used when the sources are not on disk (e.g. a
-// deployed binary). A unit test keeps them in sync with the repository.
-var recordedLOC = map[string]int{
-	"dapp":      150,
-	"fuse":      130,
-	"detection": 60,
-	"origin":    25,
-}
-
-// DefenseLOC counts the non-blank, non-comment lines of each defense
-// implementation in this repository, falling back to recorded values when
-// the sources are unavailable at run time.
+// DefenseLOC reports the size of each defense implementation in this
+// repository — non-blank, non-comment lines of defense/dapp.go,
+// fuse/fuse.go and intents/firewall.go, the last split 7:3 between the
+// detection and origin schemes it hosts. The figures are pinned so Table
+// VII does not depend on where the binary was built;
+// TestDefenseLOCMatchesSources recounts them from the sources.
 func DefenseLOC() map[string]int {
-	_, self, _, ok := runtime.Caller(0)
-	if !ok {
-		return recordedLOC
-	}
-	root := filepath.Dir(filepath.Dir(self)) // .../internal
-	out := make(map[string]int, len(recordedLOC))
-	for key, fallback := range recordedLOC {
-		out[key] = fallback
-	}
-	if n, err := countLOC(filepath.Join(root, "defense", "dapp.go")); err == nil {
-		out["dapp"] = n
-	}
-	if n, err := countLOC(filepath.Join(root, "fuse", "fuse.go")); err == nil {
-		out["fuse"] = n
-	}
-	if n, err := countLOC(filepath.Join(root, "intents", "firewall.go")); err == nil {
-		// The firewall file hosts both schemes: split by the rough share
-		// of detection (checkIntent bookkeeping) vs origin (stamping).
-		out["detection"] = n * 7 / 10
-		out["origin"] = n - out["detection"]
-	}
-	return out
-}
-
-// countLOC counts non-blank, non-comment lines.
-func countLOC(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			continue
-		}
-		n++
-	}
-	return n, nil
+	return map[string]int{"dapp": 184, "fuse": 154, "detection": 64, "origin": 28}
 }

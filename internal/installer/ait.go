@@ -9,6 +9,7 @@ import (
 
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/market"
+	"github.com/ghost-installer/gia/internal/obs"
 	"github.com/ghost-installer/gia/internal/pm"
 	"github.com/ghost-installer/gia/internal/sig"
 	"github.com/ghost-installer/gia/internal/vfs"
@@ -53,6 +54,18 @@ func (r Result) Succeeded() bool { return r.Err == nil && r.Installed != nil }
 
 // Clean reports a successful, unhijacked install.
 func (r Result) Clean() bool { return r.Succeeded() && !r.Hijacked }
+
+// Record writes the transaction's steps onto k as "ait" instants at their
+// own timestamps, for merging into a device timeline after the run (see
+// device.Device.Record and obs.Track.Sorted).
+func (r Result) Record(k *obs.Track) {
+	if k == nil {
+		return
+	}
+	for _, s := range r.Trace {
+		k.InstantAt(s.At, "ait", fmt.Sprintf("[%s] step %d %s: %s", r.Store, s.Step, s.Name, s.Detail))
+	}
+}
 
 // ait tracks one in-flight transaction.
 type ait struct {

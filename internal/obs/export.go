@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 	"time"
 )
 
-// Exporters. Both renderers are deterministic: tracks are emitted in
+// Exporters. All renderers are deterministic: tracks are emitted in
 // sorted (domain, name) order, events in per-track recording order, and
 // floating-point timestamps use a fixed 'f'/3 format — so a run traced
 // twice (or at a different worker count, for virtual-only traces) produces
@@ -120,6 +122,39 @@ func WriteChromeTracks(w io.Writer, tracks []*Track) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteText renders k's events in recording order, one line each: the
+// start time in milliseconds, the event name padded to eight columns and
+// the detail — the merged device timeline's text form (pass Track.Sorted
+// for start-time order). A nil track writes nothing.
+func WriteText(w io.Writer, k *Track) error {
+	bw := bufio.NewWriter(w)
+	for _, ev := range k.Events() {
+		if _, err := fmt.Fprintf(bw, "[%10.3fms] %-8s %s\n",
+			float64(ev.Start)/float64(time.Millisecond), ev.Name, ev.Detail); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// WriteFile exports the trace to path: JSONL when the name ends in
+// ".jsonl", Chrome trace-event JSON otherwise.
+func (t *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".jsonl") {
+		err = t.WriteJSONL(f)
+	} else {
+		err = t.WriteChrome(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // jsonlEvent fixes the JSONL field order.

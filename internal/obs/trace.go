@@ -191,8 +191,9 @@ func (t *Trace) Tracks() []*Track {
 }
 
 // Track is one named event lane of a trace (a device, a worker, a chaos
-// run). The nil Track is a valid disabled track. A Track is safe for
-// concurrent use.
+// run). The nil Track is a valid disabled track, and the zero Track an
+// unnamed, unbounded virtual-time track that belongs to no trace (a
+// device timeline). A Track is safe for concurrent use.
 //
 // A track runs in one of two modes, fixed at creation. Unbounded (the
 // default): events accumulate until exported. Ring (Trace.SetRingDepth):
@@ -392,6 +393,20 @@ func TailTrack(k *Track, n int) *Track {
 		evs = evs[len(evs)-n:]
 	}
 	return &Track{domain: k.domain, name: k.name, events: evs, seq: uint64(len(evs))}
+}
+
+// Sorted builds an unbounded snapshot track, shaped like TailTrack's,
+// holding k's events stably sorted by start time: the merged-timeline
+// order. Events of one instant keep their recording order, so events
+// recorded live stay ahead of same-instant events written afterwards at
+// their own timestamps (an AIT's steps, installer.Result.Record). A nil
+// track yields nil.
+func (k *Track) Sorted() *Track {
+	s := TailTrack(k, 0)
+	if s != nil {
+		sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].Start < s.events[j].Start })
+	}
+	return s
 }
 
 // Span is an open span handle. The zero Span (from a nil track's Begin)

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +183,100 @@ func TestUnfinishedSpanExportsZeroWidth(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"dur":0.000`) {
 		t.Errorf("unfinished span not clamped to zero width:\n%s", buf.String())
+	}
+}
+
+// TestSortedMergeOrder pins the merged-timeline order: a stable sort by
+// start time. Events of one instant keep their recording order, and events
+// recorded later at earlier timestamps sort in ahead of them. Twenty
+// same-instant events are enough for an unstable sort to reorder them.
+func TestSortedMergeOrder(t *testing.T) {
+	var now time.Duration
+	k := new(Track)
+	k.SetClock(func() time.Duration { return now })
+	now = 5 * time.Millisecond
+	var want []string
+	for i := 0; i < 20; i++ {
+		k.Instant("fs", fmt.Sprintf("OPEN a #%d", i))
+		want = append(want, fmt.Sprintf("OPEN a #%d", i))
+	}
+	k.InstantAt(5*time.Millisecond, "ait", "step 2 download")
+	k.InstantAt(time.Millisecond, "ait", "step 1 invocation")
+	want = append([]string{"step 1 invocation"}, append(want, "step 2 download")...)
+
+	var got []string
+	for _, ev := range k.Sorted().Events() {
+		got = append(got, ev.Detail)
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("sorted = %q, want %q", got, want)
+	}
+	if first := k.Events()[0].Detail; first != "OPEN a #0" {
+		t.Errorf("Sorted reordered the track itself: first event %q", first)
+	}
+}
+
+func TestWriteTextLineFormat(t *testing.T) {
+	k := new(Track)
+	k.InstantAt(457125*time.Microsecond, "fs", "MOVED_TO /sdcard/a.apk (uid 10001)")
+	k.InstantAt(0, "firewall", "redirect suspected")
+	var buf bytes.Buffer
+	if err := WriteText(&buf, k); err != nil {
+		t.Fatal(err)
+	}
+	want := "[   457.125ms] fs       MOVED_TO /sdcard/a.apk (uid 10001)\n" +
+		"[     0.000ms] firewall redirect suspected\n"
+	if buf.String() != want {
+		t.Errorf("text export:\n%q\nwant\n%q", buf.String(), want)
+	}
+}
+
+// TestZeroAndNilTrack: a zero Track with no clock records at time zero,
+// and a nil track is a no-op through the timeline path.
+func TestZeroAndNilTrack(t *testing.T) {
+	k := new(Track)
+	k.Instant("x", "event")
+	if evs := k.Events(); len(evs) != 1 || evs[0].Start != 0 {
+		t.Errorf("clockless zero track recorded %+v, want one event at 0", evs)
+	}
+
+	var nilTrack *Track
+	nilTrack.InstantAt(time.Millisecond, "ait", "dropped")
+	if nilTrack.Sorted() != nil {
+		t.Error("Sorted of a nil track must be nil")
+	}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, nilTrack); err != nil || buf.Len() != 0 {
+		t.Errorf("nil-track text export = %q, %v; want empty", buf.String(), err)
+	}
+}
+
+func TestWriteFilePicksFormatByExtension(t *testing.T) {
+	tr := NewTrace()
+	tr.SetWallClock(nil)
+	tr.VirtualTrack("device").InstantAt(time.Millisecond, "fs", "CREATE a")
+	var chrome, jsonl bytes.Buffer
+	if err := tr.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"t.json": chrome.Bytes(), "t.trace": chrome.Bytes(), "t.jsonl": jsonl.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "missing", "t.json")); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
 	}
 }

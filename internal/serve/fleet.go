@@ -17,7 +17,6 @@ import (
 	"github.com/ghost-installer/gia/internal/installer"
 	"github.com/ghost-installer/gia/internal/obs"
 	"github.com/ghost-installer/gia/internal/sig"
-	"github.com/ghost-installer/gia/internal/timeline"
 )
 
 // Config sizes a Fleet.
@@ -58,7 +57,7 @@ type Config struct {
 const defaultFlightDepth = 256
 
 // managedDevice is one fleet device. The mutable simulation state (dev,
-// scen, rec, the transaction counters) is owned by the shard goroutine:
+// scen, the transaction counters) is owned by the shard goroutine:
 // it is only touched inside shard.run closures.
 type managedDevice struct {
 	id       string
@@ -72,7 +71,6 @@ type managedDevice struct {
 
 	dev      *device.Device
 	scen     *experiment.Scenario
-	rec      *timeline.Recorder
 	installs int
 	attacks  int
 	hijacks  int
@@ -317,16 +315,6 @@ func (f *Fleet) CreateDevice(req CreateDeviceRequest) (DeviceInfo, error) {
 		if req.Patched {
 			dev.Fuse.SetPatched(true)
 		}
-		if req.Timeline {
-			rec := timeline.New(dev.Sched.Now)
-			if err := rec.WatchFS(dev.FS, prof.StagingDir); err != nil {
-				sh.release(dev)
-				buildErr = fmt.Errorf("serve: watch staging dir: %w", err)
-				return
-			}
-			rec.WatchPackages(dev.PMS)
-			d.rec = rec
-		}
 		if f.flight != nil {
 			// The device's ring: scheduler-clocked, fed the installer's
 			// per-step AIT instants and outcome spans from here on.
@@ -382,7 +370,6 @@ func (d *managedDevice) info() DeviceInfo {
 		Shard:     d.shardRef.id,
 		Seed:      d.seed,
 		Patched:   d.patched,
-		Timeline:  d.rec != nil,
 		CreatedAt: d.created.UTC().Format(time.RFC3339),
 		VirtualMs: int64(d.dev.Sched.Now() / time.Millisecond),
 		Packages:  len(d.dev.PMS.Packages()),
@@ -424,10 +411,6 @@ func (f *Fleet) Devices() []DeviceInfo {
 // CreateDevice on that shard turns it into a reset-in-place hit.
 func (f *Fleet) DeleteDevice(id string) error {
 	err := f.withDevice(id, func(d *managedDevice) error {
-		if d.rec != nil {
-			d.rec.Close()
-			d.rec = nil
-		}
 		d.shardRef.release(d.dev)
 		d.dev, d.scen, d.ring = nil, nil, nil
 		return nil
@@ -572,31 +555,7 @@ func driveAIT(d *managedDevice, pkg string) (installer.Result, bool) {
 		completed = true
 	})
 	d.dev.Sched.RunUntil(d.dev.Sched.Now() + txHorizon)
-	if d.rec != nil && completed {
-		d.rec.RecordAIT(res)
-	}
 	return res, completed
-}
-
-// Timeline returns the device's recorded event timeline.
-func (f *Fleet) Timeline(id string) ([]TimelineEntry, error) {
-	var out []TimelineEntry
-	err := f.withDevice(id, func(d *managedDevice) error {
-		if d.rec == nil {
-			return badRequestf("device %s has no timeline (create with \"timeline\": true)", id)
-		}
-		entries := d.rec.Entries()
-		out = make([]TimelineEntry, len(entries))
-		for i, e := range entries {
-			out[i] = TimelineEntry{
-				AtMs:   float64(e.At) / float64(time.Millisecond),
-				Source: e.Source,
-				Detail: e.Detail,
-			}
-		}
-		return nil
-	})
-	return out, err
 }
 
 // Replay re-executes a chaos token against the canonical hijack invariant

@@ -19,7 +19,6 @@ import (
 //	DELETE /devices/{id}          reclaim the device to its shard pool
 //	POST   /devices/{id}/install  drive one clean install transaction
 //	POST   /devices/{id}/attack   drive one AIT under a GIA strategy
-//	GET    /devices/{id}/timeline recorded device timeline
 //	POST   /replay                run a chaos replay token
 //	GET    /metrics               internal/obs text snapshot (?format=prom
 //	                              for Prometheus exposition)
@@ -60,7 +59,6 @@ func NewHandler(fleet *Fleet, reg *obs.Registry) http.Handler {
 	mux.HandleFunc("DELETE /devices/{id}", h.deleteDevice)
 	mux.HandleFunc("POST /devices/{id}/install", h.install)
 	mux.HandleFunc("POST /devices/{id}/attack", h.attack)
-	mux.HandleFunc("GET /devices/{id}/timeline", h.timeline)
 	mux.HandleFunc("POST /replay", h.replay)
 	mux.HandleFunc("GET /metrics", h.metrics)
 	mux.HandleFunc("GET /devices/{id}/trace", h.deviceTrace)
@@ -176,18 +174,6 @@ func (h *handler) attack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.writeJSON(w, http.StatusOK, res)
-}
-
-func (h *handler) timeline(w http.ResponseWriter, r *http.Request) {
-	entries, err := h.fleet.Timeline(r.PathValue("id"))
-	if err != nil {
-		h.writeErr(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, map[string]any{
-		"device":  r.PathValue("id"),
-		"entries": entries,
-	})
 }
 
 func (h *handler) replay(w http.ResponseWriter, r *http.Request) {

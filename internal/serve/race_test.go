@@ -16,7 +16,7 @@ import (
 // touching simulation state off the shard goroutine is a detected race.
 func TestShardOwnershipSerializesConcurrentOps(t *testing.T) {
 	f := newTestFleet(t, Config{Shards: 2, Seed: 21, Registry: obs.NewRegistry()})
-	info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon", Timeline: true})
+	info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,10 @@ func TestShardOwnershipSerializesConcurrentOps(t *testing.T) {
 				case 2:
 					_, err = f.Device(info.ID)
 				default:
-					_, err = f.Timeline(info.ID)
+					var ring *obs.Track
+					if ring, err = f.DeviceTrack(info.ID); err == nil {
+						ring.Events()
+					}
 				}
 				if err != nil {
 					errs <- err

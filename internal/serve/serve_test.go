@@ -30,7 +30,7 @@ func TestFleetLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := newTestFleet(t, Config{Shards: 2, Seed: 11, Registry: reg})
 
-	info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon", Timeline: true})
+	info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFleetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != info.ID || !got.Timeline {
+	if got.ID != info.ID {
 		t.Fatalf("status mismatch: %+v", got)
 	}
 
@@ -69,12 +69,12 @@ func TestFleetLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := f.Timeline(info.ID)
+	ring, err := f.DeviceTrack(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("timeline empty after install + attacks")
+	if len(ring.Events()) == 0 {
+		t.Fatal("flight ring empty after install + attacks")
 	}
 
 	if err := f.DeleteDevice(info.ID); err != nil {
@@ -126,9 +126,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := f.Attack(info.ID, AttackRequest{Strategy: "nope"}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown strategy: %v, want ErrBadRequest", err)
-	}
-	if _, err := f.Timeline(info.ID); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("timeline on non-timeline device: %v, want ErrBadRequest", err)
 	}
 	if _, err := f.Replay(ReplayRequest{Token: "not-a-token"}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad token: %v, want ErrBadRequest", err)
@@ -236,7 +233,7 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	var info DeviceInfo
-	if resp := post("/devices", CreateDeviceRequest{Store: "amazon", Timeline: true}, &info); resp.StatusCode != http.StatusCreated {
+	if resp := post("/devices", CreateDeviceRequest{Store: "amazon"}, &info); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", resp.StatusCode)
 	}
 
@@ -256,21 +253,6 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("attack did not hijack: %+v", atk)
 	}
 
-	resp, err := http.Get(srv.URL + "/devices/" + info.ID + "/timeline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tl struct {
-		Entries []TimelineEntry `json:"entries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&tl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(tl.Entries) == 0 {
-		t.Fatal("timeline empty over HTTP")
-	}
-
 	var rep ReplayResult
 	if resp := post("/replay", ReplayRequest{Token: chaos.Schedule{Seed: 7}.Token()}, &rep); resp.StatusCode != http.StatusOK {
 		t.Fatalf("replay: status %d", resp.StatusCode)
@@ -279,7 +261,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("replay violated on plain schedule: %+v", rep)
 	}
 
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +301,11 @@ func TestHTTPAPI(t *testing.T) {
 	// Unknown store maps to 400.
 	if resp := post("/devices", CreateDeviceRequest{Store: "bogus"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad store: status %d, want 400", resp.StatusCode)
+	}
+	// So does a field the API does not have: the strict decoder refuses a
+	// create that asks for a per-device "timeline" recorder.
+	if resp := post("/devices", map[string]bool{"timeline": true}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with timeline: status %d, want 400", resp.StatusCode)
 	}
 
 	// A body over the size limit is refused with a 400, though it is valid

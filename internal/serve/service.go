@@ -58,11 +58,6 @@ type CreateDeviceRequest struct {
 	Store string `json:"store,omitempty"`
 	// Patched enables the Section V-C FUSE defense on the device.
 	Patched bool `json:"patched,omitempty"`
-	// Timeline attaches a per-device timeline recorder (staging-dir FS
-	// events, package events, AIT summaries) served by
-	// GET /devices/{id}/timeline. Off by default: a long-lived device
-	// accumulates entries for every transaction it runs.
-	Timeline bool `json:"timeline,omitempty"`
 	// PayloadBytes sizes the published target APK's classes.dex; payloads
 	// over 64 KiB make downloads multi-chunk. 0 means a minimal payload;
 	// more than 4 MiB is refused.
@@ -76,7 +71,6 @@ type DeviceInfo struct {
 	Shard     int    `json:"shard"`
 	Seed      int64  `json:"seed"`
 	Patched   bool   `json:"patched,omitempty"`
-	Timeline  bool   `json:"timeline,omitempty"`
 	CreatedAt string `json:"created_at"`
 	// VirtualMs is the device's simulated clock in milliseconds.
 	VirtualMs int64 `json:"virtual_ms"`
@@ -147,13 +141,6 @@ type ReplayResult struct {
 	// Violated reports whether the invariant failed under this schedule.
 	Violated bool   `json:"violated"`
 	Detail   string `json:"detail,omitempty"`
-}
-
-// TimelineEntry is one recorded device event.
-type TimelineEntry struct {
-	AtMs   float64 `json:"at_ms"`
-	Source string  `json:"source"`
-	Detail string  `json:"detail"`
 }
 
 // storeProfiles maps API store names to installer profiles.
