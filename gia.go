@@ -561,7 +561,6 @@ func InstrumentWorkerPool(reg *ObsRegistry, tr *ObsTrace, pprofLabels bool) {
 	in := &par.Instrumentation{Trace: tr, PprofLabels: pprofLabels}
 	if reg != nil {
 		in.Tasks = reg.Counter("par.tasks")
-		in.Steals = reg.Counter("par.frontier.steals")
 		in.Queued = reg.Gauge("par.queued")
 		in.Busy = reg.Gauge("par.busy")
 		in.BusyNS = reg.Counter("par.busy_ns")

@@ -245,14 +245,21 @@ func (a *APK) Size() int64 { return int64(len(a.Encode())) }
 // decodeCache memoizes parsed archives by their verified full-content
 // digest: every device of a sweep installs the same handful of staged
 // images, and identical bytes decode to identical (immutable, shareable)
-// APKs. The cap bounds memory on corpus-scale workloads; past it, decodes
-// simply stop being cached.
-var decodeCache struct { //gia:global — knockout: +78% per explore-sweep schedule, +28% per explore-orders one
+// APKs. Entries are never evicted, so two caps bound it: decodeCacheCap
+// entries for corpus-scale workloads, and decodeCacheMaxBytes of encoded
+// archives for a daemon that publishes a fresh large package per install
+// (an entry holds its decoded payload and, once EncodedDigest memoizes it,
+// the re-encoding too). Past either cap, decodes simply stop being cached.
+var decodeCache struct { //gia:global — knockout: +78% per explore-sweep schedule, +28% per explore-orders one; both caps keep fleet-http's 543-byte installs cached
 	sync.Mutex
-	m map[sig.Digest]*APK
+	m    map[sig.Digest]*APK
+	held int // encoded bytes of the cached archives
 }
 
-const decodeCacheCap = 4096
+const (
+	decodeCacheCap      = 4096
+	decodeCacheMaxBytes = 16 << 20
+)
 
 // Decode parses an encoded APK, requiring a complete EOCD record. The
 // returned APK may be shared with other callers that decoded the same
@@ -290,8 +297,10 @@ func Decode(data []byte) (*APK, error) {
 	if decodeCache.m == nil {
 		decodeCache.m = make(map[sig.Digest]*APK)
 	}
-	if len(decodeCache.m) < decodeCacheCap {
+	if _, dup := decodeCache.m[want]; !dup && len(decodeCache.m) < decodeCacheCap &&
+		decodeCache.held+len(data) <= decodeCacheMaxBytes {
 		decodeCache.m[want] = a
+		decodeCache.held += len(data)
 	}
 	decodeCache.Unlock()
 	return a, nil

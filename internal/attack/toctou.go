@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -88,16 +87,13 @@ type TOCTOUConfig struct {
 	// ReactMin/ReactMax bound the attacker's code-path latency between
 	// deciding to strike and the replacement landing.
 	ReactMin, ReactMax time.Duration
-	// Payload is the malicious content packed into the replacement APK.
-	Payload map[string][]byte
-	// StripDRM removes DRM self-check entries while repackaging.
-	StripDRM bool
 	// Method selects the replacement mechanics (default MethodRename).
 	Method ReplaceMethod
 }
 
-// defaultPayload is shared by every config that doesn't override it; it is
-// only ever read (repackaging copies the entries into the evil APK).
+// defaultPayload is the malicious content packed into every replacement
+// APK. It is only ever read: repackaging copies the entries into the evil
+// APK.
 var defaultPayload = map[string][]byte{"classes.dex": []byte("gia-payload")}
 
 func (c *TOCTOUConfig) fill() {
@@ -109,9 +105,6 @@ func (c *TOCTOUConfig) fill() {
 	}
 	if c.ReactMax < c.ReactMin {
 		c.ReactMax = c.ReactMin
-	}
-	if c.Payload == nil {
-		c.Payload = defaultPayload
 	}
 	if c.Method == 0 {
 		c.Method = MethodRename
@@ -147,45 +140,31 @@ type TOCTOU struct {
 	replacements []Replacement
 }
 
-// evilCache memoizes the repackaged attack APK per (original, signer,
-// payload, DRM-strip) tuple: a sweep rebuilds the identical replacement for
-// every schedule, and each repackage re-copies, re-signs and re-encodes the
-// full original. The original is keyed by its encoded digest, not its
-// pointer, so equal targets built apart share one entry and no key keeps a
-// target alive. Cached APKs are shared and immutable.
+// evilCache memoizes the repackaged attack APK per (original, signer)
+// pair: a sweep rebuilds the identical replacement for every schedule, and
+// each repackage re-copies, re-signs and re-encodes the full original. The
+// original is keyed by its encoded digest, not its pointer, so equal
+// targets built apart share one entry and no key keeps a target alive.
+// Cached APKs are shared and immutable.
 var evilCache struct { //gia:global — knockout: +10% per explore-sweep schedule, ×2.9 per explore-orders one
 	sync.Mutex
 	m map[evilKey]*apk.APK
 }
 
 type evilKey struct {
-	orig    sig.Digest
-	signer  sig.Digest
-	strip   bool
-	payload string
+	orig   sig.Digest
+	signer sig.Digest
 }
 
-func repackageCached(orig *apk.APK, payload map[string][]byte, key *sig.Key, strip bool) *apk.APK {
-	names := make([]string, 0, len(payload))
-	for name := range payload {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, name := range names {
-		sb.WriteString(name)
-		sb.WriteByte(0)
-		sb.Write(payload[name])
-		sb.WriteByte(0)
-	}
-	k := evilKey{orig.EncodedDigest(), key.Certificate().Fingerprint, strip, sb.String()}
+func repackageCached(orig *apk.APK, key *sig.Key) *apk.APK {
+	k := evilKey{orig.EncodedDigest(), key.Certificate().Fingerprint}
 	evilCache.Lock()
 	evil := evilCache.m[k]
 	evilCache.Unlock()
 	if evil != nil {
 		return evil
 	}
-	evil = apk.Repackage(orig, payload, key, strip)
+	evil = apk.Repackage(orig, defaultPayload, key, false)
 	evil.Encode()
 	evilCache.Lock()
 	if evilCache.m == nil {
@@ -198,10 +177,11 @@ func repackageCached(orig *apk.APK, payload map[string][]byte, key *sig.Key, str
 
 // NewTOCTOU prepares a hijack of the store described by cfg, replacing the
 // genuine APK `orig` (obtained from the store beforehand) with a
-// same-manifest repackage carrying cfg.Payload, signed by the malware's key.
+// same-manifest repackage carrying the attacker's classes.dex, signed by the
+// malware's key.
 func NewTOCTOU(mal *Malware, cfg TOCTOUConfig, orig *apk.APK) *TOCTOU {
 	cfg.fill()
-	evil := repackageCached(orig, cfg.Payload, mal.Key, cfg.StripDRM)
+	evil := repackageCached(orig, mal.Key)
 	return &TOCTOU{
 		mal:      mal,
 		cfg:      cfg,

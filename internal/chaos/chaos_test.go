@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -71,6 +72,39 @@ func TestExploreOrdersEnumeratesAllPermutations(t *testing.T) {
 			}
 		})
 	}
+
+	// Ties at successive instants multiply: each of the 3! orderings of a
+	// tie at 1ms is combined with both orderings of a tie at 2ms, and a
+	// violation decided only by the second tie shows up in half of them.
+	t.Run("N=3,then2", func(t *testing.T) {
+		var mu sync.Mutex
+		seen := make(map[string]int)
+		ex := &Explorer{Workers: 4}
+		res := ex.ExploreOrders(Schedule{Seed: 5}, func(r *Run) error {
+			s := sim.New(r.Seed())
+			r.Attach(s)
+			var order []byte
+			for i, at := range []time.Duration{1, 1, 1, 2, 2} {
+				c := byte('a' + i)
+				s.At(at*time.Millisecond, func() { order = append(order, c) })
+			}
+			s.Run()
+			mu.Lock()
+			seen[string(order)]++
+			mu.Unlock()
+			if order[3] == 'e' {
+				return fmt.Errorf("second instant inverted in %q", order)
+			}
+			return nil
+		})
+		if res.Explored != 12 || len(seen) != 12 || res.Violations != 6 || res.MaxBranch != 3 {
+			t.Fatalf("result %+v over %d distinct orderings, want 12 explored and distinct, 6 violations, MaxBranch 3",
+				res, len(seen))
+		}
+		if got := res.First.Schedule.Token(); got != "gia1:5:0s:0.0.1" {
+			t.Errorf("First = %s, want gia1:5:0s:0.0.1", got)
+		}
+	})
 }
 
 // TestExploreOrdersSingleWorkerMatches re-runs the N=4 enumeration with one
@@ -112,6 +146,61 @@ func TestMaxSchedulesTruncates(t *testing.T) {
 	}
 	if !res.Truncated {
 		t.Error("Truncated not set")
+	}
+}
+
+// TestExploreOrdersResultIndependentOfWorkers pins the frontier's
+// contract: the explorer's entire Result — counts, canonical First token,
+// branching stats — is identical at 1 worker and at NumCPU workers, even
+// though which worker runs which schedule is timing-dependent. Run under
+// -race this is also the data-race gate for the shared frontier.
+func TestExploreOrdersResultIndependentOfWorkers(t *testing.T) {
+	run := func(workers int) *Result {
+		ex := &Explorer{Workers: workers}
+		return ex.ExploreOrders(Schedule{Seed: 9}, func(r *Run) error {
+			if order := tieWorld(r, 5); order[0] == 'c' {
+				return fmt.Errorf("c fired first in %q", order)
+			}
+			return nil
+		})
+	}
+	serial := run(1)
+	parallel := run(runtime.NumCPU())
+	if serial.Explored != 120 || serial.Violations != 24 {
+		t.Fatalf("serial baseline = %+v, want 120 explored, 24 violations", serial)
+	}
+	if parallel.Explored != serial.Explored ||
+		parallel.Violations != serial.Violations ||
+		parallel.MaxBranch != serial.MaxBranch ||
+		parallel.Truncated != serial.Truncated {
+		t.Errorf("results diverge:\n 1 worker: %+v\n%d workers: %+v", serial, runtime.NumCPU(), parallel)
+	}
+	if serial.First == nil || parallel.First == nil {
+		t.Fatal("missing First violation")
+	}
+	if st, pt := serial.First.Schedule.Token(), parallel.First.Schedule.Token(); st != pt {
+		t.Errorf("First token: 1 worker %s, %d workers %s", st, runtime.NumCPU(), pt)
+	}
+	if got, want := serial.First.Schedule.Token(), "gia1:9:0s:2"; got != want {
+		t.Errorf("canonical First = %s, want %s", got, want)
+	}
+}
+
+// TestMaxSchedulesExactUnderConcurrency re-checks the MaxSchedules cap with
+// every worker racing to claim queued schedules: the cap must hold exactly
+// — not approximately — and Truncated must report the dropped remainder.
+func TestMaxSchedulesExactUnderConcurrency(t *testing.T) {
+	const cap = 37 // inside the 120-schedule tree, never on a boundary
+	ex := &Explorer{Workers: runtime.NumCPU(), MaxSchedules: cap}
+	res := ex.ExploreOrders(Schedule{Seed: 1}, func(r *Run) error {
+		tieWorld(r, 5)
+		return nil
+	})
+	if res.Explored != cap {
+		t.Fatalf("explored %d schedules, want exactly %d", res.Explored, cap)
+	}
+	if !res.Truncated {
+		t.Error("Truncated not set on a capped exploration")
 	}
 }
 

@@ -38,13 +38,10 @@ type Result struct {
 	// MaxBranch is the widest same-instant tie observed (diagnostics: the
 	// factorial blow-up knob).
 	MaxBranch int
-	// PORSkipped counts sibling branches partial-order reduction proved
-	// equivalent to an explored ordering and therefore never ran: each is
-	// one alternative first-choice at a fully-commuting tie, standing for
-	// its whole subtree of orderings. Explored + the subtrees behind
-	// PORSkipped together cover the same violation set as an exhaustive
-	// walk (pinned by TestExploreOrdersPORSoundness and the verify.sh
-	// gate).
+	// PORSkipped is always 0. It counted orderings skipped by a
+	// partial-order reduction the explorer no longer has, and stays only
+	// because the benchmark module reports it as chaos.por_skipped; it
+	// goes with that metric.
 	PORSkipped int
 }
 
@@ -71,11 +68,6 @@ type Explorer struct {
 	// from workers, so virtual-only exports are byte-identical at any
 	// worker count.
 	Trace *obs.Trace
-	// DisablePOR turns partial-order reduction off in ExploreOrders: every
-	// sibling ordering is enumerated even when its tie provably commutes.
-	// The POR soundness gate uses it to diff reduced against exhaustive
-	// exploration; production sweeps leave it false.
-	DisablePOR bool
 	// DumpDir, when non-empty, turns on flight-recorder dumps: every
 	// violating run whose track recorded events gets the last DumpDepth of
 	// them written to DumpDir as Chrome-trace JSON and JSONL, tagged with
@@ -240,22 +232,10 @@ func runGuarded(r *Run, fn RunFunc) (err error) {
 // explored with prefix P spawns sibling prefixes at every contended
 // instant after P, which visits each distinct ordering exactly once. For
 // one instant with N tied events this is exactly the N! permutations.
-//
-// Partial-order reduction prunes the walk where it provably cannot matter:
-// when every event tied at an instant carries a footprint and all pairs
-// are independent (sim.Footprint.Independent), the tie fully commutes.
-// Tagged events schedule no same-instant follow-ups (the tagging
-// contract), so such a tie consists of exactly its candidates, every
-// permutation applies the same set of commuting effects, and all orderings
-// reach identical states — the FIFO ordering already explored represents
-// them all. Those siblings are counted in Result.PORSkipped instead of
-// running. One opaque (untagged) event in a tie disables pruning for that
-// instant, so workloads that never tag explore exactly as before.
 func (e *Explorer) ExploreOrders(base Schedule, fn RunFunc) *Result {
 	res := &Result{}
 	var mu sync.Mutex
 	maxSchedules := e.MaxSchedules
-	por := !e.DisablePOR
 	par.FrontierWorker(e.Workers, []Schedule{base.clone()}, func(worker int, s Schedule) []Schedule {
 		mu.Lock()
 		if maxSchedules > 0 && res.Explored >= maxSchedules {
@@ -269,7 +249,6 @@ func (e *Explorer) ExploreOrders(base Schedule, fn RunFunc) *Result {
 		mu.Unlock()
 
 		r := e.prepare(s, worker)
-		r.recordFP = por
 		err := runGuarded(r, fn)
 		e.counted(err)
 		e.dumpViolation(r, err)
@@ -286,10 +265,6 @@ func (e *Explorer) ExploreOrders(base Schedule, fn RunFunc) *Result {
 			}
 			nsibs := b - 1 - r.arb.choices[i]
 			if nsibs <= 0 {
-				continue
-			}
-			if por && i < len(r.arb.commuting) && r.arb.commuting[i] {
-				res.PORSkipped += nsibs
 				continue
 			}
 			// One backing array for all of this instant's sibling prefixes:

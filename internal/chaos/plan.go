@@ -160,23 +160,6 @@ func (p *FaultPlan) Hits() []Hit {
 }
 
 var _ fault.Injector = (*FaultPlan)(nil)
-var _ fault.Arming = (*FaultPlan)(nil)
-
-// Armed implements fault.Arming: whether any rule targets site. The check
-// is static over the rule list — it ignores time windows and fire counters
-// — so a false answer holds for the plan's whole life, which is what lets
-// a component prove an operation's injected-failure paths unreachable.
-func (p *FaultPlan) Armed(site fault.Site) bool {
-	if p == nil {
-		return false
-	}
-	for i := range p.rules {
-		if p.rules[i].Site == site && p.rules[i].Kind != fault.KindNone {
-			return true
-		}
-	}
-	return false
-}
 
 // Probe implements fault.Injector: the first matching, armed rule fires.
 func (p *FaultPlan) Probe(site fault.Site, subject string, now time.Duration) fault.Action {

@@ -28,11 +28,6 @@ type Run struct {
 	// state is the pool worker's shared state (Explorer.WorkerState), nil
 	// when the explorer has no state factory.
 	state any
-	// recordFP makes Attach install the footprint-aware arbiter so the
-	// explorer can prune commuting sibling orderings. Only ExploreOrders
-	// sets it: sweeps and checks never read footprints, so their arbiter
-	// stays on the cheaper untagged path.
-	recordFP bool
 }
 
 // newRun prepares a run for schedule, deriving the run-local fault plan
@@ -87,11 +82,7 @@ func (r *Run) Track() *obs.Track { return r.track }
 // records) same-instant choices, and the fault plan as s's injector. Call
 // it once, before driving the clock.
 func (r *Run) Attach(s *sim.Scheduler, targets ...fault.Target) {
-	if r.recordFP {
-		s.SetTaggedArbiter(r.arb.chooseTagged)
-	} else {
-		s.SetArbiter(r.arb.choose)
-	}
+	s.SetArbiter(r.arb.choose)
 	s.SetFaultInjector(r.plan)
 	// Bind the run's trace track to this world's virtual clock, so Begin
 	// and Instant read simulated time.
@@ -118,12 +109,6 @@ type arbiter struct {
 	pos      int
 	choices  []int
 	branches []int
-	// commuting[i] reports that at contended instant i every candidate
-	// carried a non-opaque footprint and all pairs were pairwise
-	// independent — the whole tie commutes, so every ordering of it
-	// reaches the same state (see Result.PORSkipped). Only populated by
-	// chooseTagged; empty under the plain arbiter.
-	commuting []bool
 }
 
 // choose implements sim.Arbiter. Within the prefix it replays the recorded
@@ -140,26 +125,4 @@ func (a *arbiter) choose(n int) int {
 	a.choices = append(a.choices, c)
 	a.branches = append(a.branches, n)
 	return c
-}
-
-// chooseTagged implements sim.TaggedArbiter: the same replay-then-record
-// semantics as choose, plus a per-instant commutation verdict over the
-// candidates' footprints.
-func (a *arbiter) chooseTagged(n int, fps []sim.Footprint) int {
-	a.commuting = append(a.commuting, allCommute(fps))
-	return a.choose(n)
-}
-
-// allCommute reports whether every pair of candidate footprints is
-// independent. An opaque footprint fails every pair, so one untagged event
-// in a tie disables pruning for the whole instant.
-func allCommute(fps []sim.Footprint) bool {
-	for i := range fps {
-		for j := i + 1; j < len(fps); j++ {
-			if !fps[i].Independent(fps[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

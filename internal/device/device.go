@@ -59,10 +59,6 @@ type Device struct {
 	Market  *market.Mux
 
 	foregroundSvc map[string]bool
-	// fpCheck revalidates event footprints at dispatch time for the chaos
-	// explorer's partial-order reduction (sim.SetFootprintCheck). Built once
-	// at Boot and reinstalled by Reset, since Scheduler.Reset clears hooks.
-	fpCheck sim.FootprintCheck
 	// dataDirs caches the per-package app-private directory paths. It
 	// deliberately survives Reset: the strings depend only on the package
 	// name, and sweeps install the same packages every schedule.
@@ -156,17 +152,6 @@ func Boot(p Profile) (*Device, error) {
 	d.PIA = pia.New(fs, pms)
 
 	pms.Subscribe(d.onPackageEvent)
-	// FootVFS footprints promise a write confined to one directory; whether
-	// that still holds when the event fires (no watcher appeared, no vfs
-	// write fault armed, no capacity-limited mount in reach) only the
-	// filesystem knows. Other kinds carry their whole claim statically.
-	d.fpCheck = func(fp sim.Footprint) bool {
-		if fp.Kind == sim.FootVFS {
-			return fs.WriteQuiet(fp.Key)
-		}
-		return true
-	}
-	sched.SetFootprintCheck(d.fpCheck)
 	// Everything the boot wiring has created so far — the skeleton, the
 	// DM's database directory — is factory image: stamp it so Reset keeps
 	// those directories in place instead of rebuilding them per run.
@@ -209,7 +194,6 @@ func (d *Device) Reset(seed int64) error {
 	d.foregroundSvc = nil
 	// PIA is stateless beyond its fs/pms references; nothing to clear.
 	d.PMS.Subscribe(d.onPackageEvent)
-	d.Sched.SetFootprintCheck(d.fpCheck)
 	return nil
 }
 

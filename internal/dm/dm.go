@@ -367,19 +367,7 @@ func (m *Manager) writeChunks(d *Download, h *vfs.Handle, rest []byte, done func
 		m.finish(d, nil, done)
 		return
 	}
-	fp := sim.Footprint{}
-	if int64(len(rest)) > n && m.chunksTaggable() {
-		// A non-final chunk event is confined to the destination's
-		// directory: its callback writes into the open handle (or closes it
-		// when the download was removed mid-flight) and schedules the next
-		// chunk strictly later — the final chunk, which closes the file,
-		// rewrites the DM database and runs the completion callback, stays
-		// opaque. The write's own failure modes (injected vfs faults, a
-		// full mount, a watcher with an arbitrary callback) are revalidated
-		// at dispatch time by the device's sim.FootprintCheck.
-		fp = sim.Footprint{Kind: sim.FootVFS, Key: path.Dir(h.Path())}
-	}
-	m.sched.AfterFnTagged(chunkTime, fp, func() {
+	m.sched.AfterFn(chunkTime, func() {
 		if d.Status != StatusRunning { // removed mid-flight
 			_ = h.Close()
 			return
@@ -392,18 +380,6 @@ func (m *Manager) writeChunks(d *Download, h *vfs.Handle, rest []byte, done func
 		d.BytesDone += n
 		m.writeChunks(d, h, rest[n:], done)
 	})
-}
-
-// chunksTaggable reports whether chunk-write events may carry a vfs
-// footprint for partial-order reduction. It requires that no fault rule is
-// armed at the chunk site — an injected error or truncate finishes the
-// download inline, with effects (database rewrite, completion callback) far
-// outside the destination directory — and that even a 1-byte chunk takes
-// nonzero virtual time, so a tagged chunk's callback never schedules a
-// follow-up at the same instant (the sim tagging contract).
-func (m *Manager) chunksTaggable() bool {
-	return m.opts.BytesPerSec < int64(time.Second) &&
-		!fault.Armed(m.injector, fault.SiteDMChunk)
 }
 
 func (m *Manager) finish(d *Download, err error, done func(*Download)) {

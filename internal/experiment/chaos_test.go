@@ -1,14 +1,10 @@
 package experiment
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/chaos"
-	"github.com/ghost-installer/gia/internal/installer"
 )
 
 // TestExplorationStudy pins the chaos study's shape: the orderings row
@@ -62,43 +58,6 @@ func TestExplorationStudy(t *testing.T) {
 	if !fr.Replayed {
 		t.Errorf("fault row token %s did not reproduce the violation on replay", fr.Token)
 	}
-}
-
-// TestPORSoundnessGoldenWorkload diffs POR-reduced against exhaustive
-// exploration on the real wait-and-see AIT workload (the orderings row of
-// the chaos study): identical violation sets on a genuinely-branching choice
-// tree, with the reduced walk never exploring more schedules. The staging
-// directory is watched by the attacker for the whole race, so the
-// dispatch-time footprint check keeps most ties opaque here — the gate
-// checks soundness on the golden world, not that pruning fires (the
-// synthetic worlds in internal/chaos pin that).
-func TestPORSoundnessGoldenWorkload(t *testing.T) {
-	payload := bytes.Repeat([]byte("x"), 900<<10)
-	fn := HijackPayloadRunFunc(installer.Amazon(), attack.StrategyWaitAndSee, payload)
-	explore := func(disablePOR bool) *chaos.Result {
-		ex := &chaos.Explorer{
-			Workers: 0, MaxSchedules: 2000, DisablePOR: disablePOR,
-			Plan:        chaos.Quantize(10*time.Millisecond, 0, 0),
-			WorkerState: ArenaWorkerState(nil),
-		}
-		return ex.ExploreOrders(chaos.Schedule{Seed: 1}, fn)
-	}
-	red, exh := explore(false), explore(true)
-	if exh.MaxBranch < 2 || exh.Explored < 4 || exh.Truncated {
-		t.Fatalf("exhaustive walk has no real branching: %+v", exh)
-	}
-	if red.Explored > exh.Explored {
-		t.Errorf("reduced explored %d > exhaustive %d", red.Explored, exh.Explored)
-	}
-	if red.Violations != 0 || exh.Violations != 0 {
-		t.Errorf("violation sets diverge: reduced %d, exhaustive %d (hijack must land on every ordering)",
-			red.Violations, exh.Violations)
-	}
-	if red.MaxBranch != exh.MaxBranch {
-		t.Errorf("MaxBranch: reduced %d, exhaustive %d", red.MaxBranch, exh.MaxBranch)
-	}
-	t.Logf("golden workload: exhaustive %d schedules, reduced %d (+%d POR-skipped)",
-		exh.Explored, red.Explored, red.PORSkipped)
 }
 
 // TestChaosTable smoke-checks the rendered table.

@@ -133,26 +133,3 @@ type Injector interface {
 type Target interface {
 	SetFaultInjector(Injector)
 }
-
-// Arming is optionally implemented by injectors that can report, without
-// side effects, whether any probe at a site could ever return a non-None
-// action. Implementations must be conservative: a false Armed guarantees
-// Probe(site, ...) answers None for the rest of the injector's life.
-type Arming interface {
-	Armed(site Site) bool
-}
-
-// Armed reports whether fi might ever act at site: a nil injector never
-// acts, an Arming injector answers for itself, and any other injector is
-// assumed able to act everywhere. Components use it to decide whether an
-// operation's failure paths are reachable (e.g. when tagging a scheduled
-// event with a footprint for partial-order reduction).
-func Armed(fi Injector, site Site) bool {
-	if fi == nil {
-		return false
-	}
-	if a, ok := fi.(Arming); ok {
-		return a.Armed(site)
-	}
-	return true
-}

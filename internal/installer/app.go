@@ -19,7 +19,6 @@ import (
 	"github.com/ghost-installer/gia/internal/perm"
 	"github.com/ghost-installer/gia/internal/pm"
 	"github.com/ghost-installer/gia/internal/sig"
-	"github.com/ghost-installer/gia/internal/sim"
 	"github.com/ghost-installer/gia/internal/vfs"
 )
 
@@ -324,15 +323,6 @@ func (a *App) selfDownload(url, dest string, mode vfs.Mode, done func(error)) {
 		done(fmt.Errorf("installer: open staging file: %w", err))
 		return
 	}
-	// A non-final chunk only appends to the staged file and schedules the
-	// next chunk strictly later (selfBytesPerSec keeps even a 1-byte chunk
-	// above zero virtual time), so it carries a vfs footprint scoped to the
-	// staging directory for the explorer's partial-order reduction. The
-	// final chunk closes the handle and runs the arbitrary done callback, so
-	// it stays opaque; write-failure reachability (injected faults, a full
-	// mount, a watcher on the staging dir) is revalidated at dispatch time
-	// by the device's sim.FootprintCheck.
-	stagingFP := sim.Footprint{Kind: sim.FootVFS, Key: path.Dir(h.Path())}
 	var writeNext func(rest []byte)
 	writeNext = func(rest []byte) {
 		if len(rest) == 0 {
@@ -343,12 +333,8 @@ func (a *App) selfDownload(url, dest string, mode vfs.Mode, done func(error)) {
 		if len(rest) < n {
 			n = len(rest)
 		}
-		fp := sim.Footprint{}
-		if len(rest) > n {
-			fp = stagingFP
-		}
 		chunkTime := time.Duration(float64(n) / float64(selfBytesPerSec) * float64(time.Second))
-		a.Dev.Sched.AfterFnTagged(chunkTime, fp, func() {
+		a.Dev.Sched.AfterFn(chunkTime, func() {
 			if _, err := h.WriteShared(rest[:n]); err != nil {
 				_ = h.Close()
 				done(fmt.Errorf("installer: write chunk: %w", err))

@@ -36,12 +36,10 @@ import (
 // leave both unset, because per-worker wall telemetry is inherently
 // schedule-dependent.
 type Instrumentation struct {
-	// Tasks counts completed jobs (Map/Run) and processed items (Frontier).
-	// A Frontier item whose process panicked is not counted: the abort
-	// tears the run down before the item completes.
+	// Tasks counts completed jobs (Map/Run) and processed items
+	// (FrontierWorker). A FrontierWorker item whose process panicked is not
+	// counted: the abort tears the run down before the item completes.
 	Tasks *obs.Counter
-	// Steals counts Frontier items taken from another worker's deque.
-	Steals *obs.Counter
 	// Queued tracks unclaimed work in the active call.
 	Queued *obs.Gauge
 	// Busy tracks workers currently running a job.
@@ -67,7 +65,7 @@ type Instrumentation struct {
 var instr atomic.Pointer[Instrumentation]
 
 // SetInstrumentation installs hooks for every subsequent Map, Run and
-// Frontier call (nil disables them). Calls already in flight keep the
+// FrontierWorker call (nil disables them). Calls already in flight keep the
 // instrumentation they started with.
 func SetInstrumentation(in *Instrumentation) { instr.Store(in) }
 
@@ -91,9 +89,9 @@ func (in *Instrumentation) runLabeled(k int, work func()) {
 }
 
 // jobDone records one finished job's counters; start is the Clock reading
-// at job begin (zero when Clock is nil). completed is false for a Frontier
-// item whose process panicked: the wall time and busy gauge still settle,
-// but the item is not booked as a completed task.
+// at job begin (zero when Clock is nil). completed is false for a
+// FrontierWorker item whose process panicked: the wall time and busy gauge
+// still settle, but the item is not booked as a completed task.
 func (in *Instrumentation) jobDone(start time.Duration, completed bool) {
 	if in == nil {
 		return
@@ -222,151 +220,38 @@ func runJob[T any](worker, i int, fn func(int, int) (T, error), out *T) (err err
 	return nil
 }
 
-// Frontier drains a dynamic work list on a pool of Workers(workers)
+// FrontierWorker drains a dynamic work list on a pool of Workers(workers)
 // goroutines: each item is handed to process, which may return follow-up
-// items that join the list. Frontier returns once the list is empty and
-// every in-flight item has completed. Processing order is unspecified —
-// callers needing deterministic aggregates must derive them from item
-// payloads (as the chaos explorer does with its total schedule order), not
-// from completion order. A panic in process is re-raised on the calling
-// goroutine after the remaining workers drain, never from a worker.
-func Frontier[T any](workers int, seed []T, process func(T) []T) {
-	FrontierWorker(workers, seed, func(_ int, it T) []T { return process(it) })
-}
-
-// wsDequeCap bounds each worker's private deque. Overflow spills into the
-// shared list, so the cap trades steal granularity against the (rare)
-// shared-lock fallback; explorer frontiers stay far below it.
-const wsDequeCap = 256
-
-// wsDeque is one worker's bounded ring deque. The owner pushes and pops at
-// the tail (LIFO, keeping the hot subtree cache-warm); thieves pop at the
-// head (FIFO, taking the oldest — largest — subtrees). Operations are a
-// few loads under a per-deque mutex, so the only contention is a thief
-// hitting the owner's deque, never a global lock.
-type wsDeque[T any] struct {
-	mu   sync.Mutex
-	buf  [wsDequeCap]T
-	head int // ring index of the oldest item (steal end)
-	n    int
-}
-
-// pushTail adds it at the owner end; false when the deque is full.
-func (d *wsDeque[T]) pushTail(it T) bool {
-	d.mu.Lock()
-	if d.n == wsDequeCap {
-		d.mu.Unlock()
-		return false
-	}
-	d.buf[(d.head+d.n)%wsDequeCap] = it
-	d.n++
-	d.mu.Unlock()
-	return true
-}
-
-// popTail removes the newest item (owner end).
-func (d *wsDeque[T]) popTail() (it T, ok bool) {
-	d.mu.Lock()
-	if d.n > 0 {
-		d.n--
-		i := (d.head + d.n) % wsDequeCap
-		it, ok = d.buf[i], true
-		var zero T
-		d.buf[i] = zero
-	}
-	d.mu.Unlock()
-	return it, ok
-}
-
-// popHead removes the oldest item (steal end).
-func (d *wsDeque[T]) popHead() (it T, ok bool) {
-	d.mu.Lock()
-	if d.n > 0 {
-		it, ok = d.buf[d.head], true
-		var zero T
-		d.buf[d.head] = zero
-		d.head = (d.head + 1) % wsDequeCap
-		d.n--
-	}
-	d.mu.Unlock()
-	return it, ok
-}
-
-// FrontierWorker is Frontier with the worker index exposed, under the same
-// ownership contract as MapWorker: index k is owned by one goroutine per
-// call, enabling lock-free per-worker state.
+// items that join the list. It returns once the list is empty and every
+// in-flight item has completed. process(worker, it) runs on pool worker
+// `worker` under the same ownership contract as MapWorker: index k is owned
+// by one goroutine per call, enabling lock-free per-worker state.
 //
-// Work distribution is stealing: each worker owns a bounded deque it
-// pushes follow-ups onto and pops LIFO; an empty worker first drains the
-// shared overflow list, then steals FIFO from a sibling's deque. Idle
-// workers park on a condvar; a producer wakes them only when someone is
-// actually parked, so the steady state (every worker busy on its own
-// deque) takes no shared lock at all. The sleep/wake race is closed
-// Dekker-style: a producer publishes queued items (atomic add) before
-// loading the idle count, a consumer registers idle before re-loading the
-// queued count — sequentially consistent atomics guarantee at least one
-// side observes the other.
+// Processing order is unspecified — callers needing deterministic
+// aggregates must derive them from item payloads (as the chaos explorer
+// does with its total schedule order), not from completion order. A panic
+// in process is re-raised on the calling goroutine once the other workers
+// have finished their in-flight items, never from a worker.
+//
+// The list is one LIFO stack under one mutex, so a lone worker walks a
+// tree depth-first. A worker pops the top item under the lock and runs it
+// unlocked, then pushes its follow-ups and retires it under the lock.
+// Workers that find the stack empty while items are in flight wait on a
+// condition variable, which is broadcast whenever follow-ups are pushed,
+// the last in-flight item retires, or an item panics.
 func FrontierWorker[T any](workers int, seed []T, process func(worker int, it T) []T) {
 	w := Workers(workers)
 	var (
 		mu       sync.Mutex
-		overflow []T
+		stack    = append([]T(nil), seed...)
+		inflight int
 		panicked any
-
-		aborted     atomic.Bool
-		queued      atomic.Int64 // items visible in deques + overflow
-		idle        atomic.Int64 // workers parked (or about to park) on cond
-		outstanding atomic.Int64 // queued + in-flight; 0 means drained forever
+		aborted  bool
 	)
 	cond := sync.NewCond(&mu)
-	deques := make([]wsDeque[T], w)
-
-	overflow = append(overflow, seed...)
-	outstanding.Store(int64(len(seed)))
-	queued.Store(int64(len(seed)))
-
 	in := instr.Load()
 	if in != nil {
-		in.Queued.Set(queued.Load())
-	}
-
-	// wake broadcasts to parked workers; producers call it only after
-	// publishing new queued items (or the abort/termination flags).
-	wake := func() {
-		mu.Lock()
-		cond.Broadcast()
-		mu.Unlock()
-	}
-
-	// next claims one item for worker k: own tail, then overflow, then a
-	// steal sweep over the siblings starting at k+1.
-	next := func(k int) (it T, ok bool) {
-		if it, ok = deques[k].popTail(); ok {
-			queued.Add(-1)
-			return it, true
-		}
-		mu.Lock()
-		if n := len(overflow); n > 0 {
-			it = overflow[n-1]
-			var zero T
-			overflow[n-1] = zero
-			overflow = overflow[:n-1]
-			mu.Unlock()
-			queued.Add(-1)
-			return it, true
-		}
-		mu.Unlock()
-		for off := 1; off < w; off++ {
-			if it, ok = deques[(k+off)%w].popHead(); ok {
-				queued.Add(-1)
-				if in != nil {
-					in.Steals.Add(1)
-				}
-				return it, true
-			}
-		}
-		var zero T
-		return zero, false
+		in.Queued.Set(int64(len(stack)))
 	}
 
 	var wg sync.WaitGroup
@@ -376,35 +261,29 @@ func FrontierWorker[T any](workers int, seed []T, process func(worker int, it T)
 			defer wg.Done()
 			track := in.workerTrack(k)
 			in.runLabeled(k, func() {
+				mu.Lock()
 				for {
-					if aborted.Load() {
-						return
+					for !aborted && len(stack) == 0 && inflight > 0 {
+						cond.Wait()
 					}
-					it, ok := next(k)
-					if !ok {
-						// Nothing visible: park. Registering idle before
-						// re-checking queued pairs with the producer's
-						// publish-then-check-idle order (see above).
-						mu.Lock()
-						idle.Add(1)
-						for !aborted.Load() && outstanding.Load() != 0 && queued.Load() == 0 {
-							cond.Wait()
-						}
-						done := aborted.Load() || outstanding.Load() == 0
-						idle.Add(-1)
-						mu.Unlock()
-						if done {
-							return
-						}
-						continue
+					if aborted || len(stack) == 0 {
+						break
 					}
-					if in != nil {
-						in.Queued.Set(queued.Load())
-						in.Busy.Add(1)
-					}
+					n := len(stack) - 1
+					it := stack[n]
+					var zero T
+					stack[n] = zero
+					stack = stack[:n]
+					inflight++
+					mu.Unlock()
+
 					var start time.Duration
-					if in != nil && in.Clock != nil {
-						start = in.Clock()
+					if in != nil {
+						in.Queued.Set(int64(n))
+						in.Busy.Add(1)
+						if in.Clock != nil {
+							start = in.Clock()
+						}
 					}
 					var sp obs.Span
 					if track != nil {
@@ -412,42 +291,25 @@ func FrontierWorker[T any](workers int, seed []T, process func(worker int, it T)
 					}
 					kids, p := guardedProcess(k, process, it)
 					sp.End()
+					in.jobDone(start, p == nil)
 
+					mu.Lock()
+					inflight--
 					if p != nil {
-						mu.Lock()
 						if panicked == nil {
 							panicked = p
 						}
-						mu.Unlock()
-						aborted.Store(true)
-						wake()
-						in.jobDone(start, false)
-						return
+						aborted = true
 					}
-					if len(kids) > 0 {
-						// Credit the kids before retiring the parent so
-						// outstanding never dips to zero with work pending.
-						outstanding.Add(int64(len(kids)))
-						for _, kid := range kids {
-							if !deques[k].pushTail(kid) {
-								mu.Lock()
-								overflow = append(overflow, kid)
-								mu.Unlock()
-							}
-						}
-						queued.Add(int64(len(kids)))
-						if idle.Load() > 0 {
-							wake()
-						}
-					}
+					stack = append(stack, kids...)
 					if in != nil {
-						in.Queued.Set(queued.Load())
+						in.Queued.Set(int64(len(stack)))
 					}
-					if outstanding.Add(-1) == 0 {
-						wake()
+					if p != nil || len(kids) > 0 || inflight == 0 {
+						cond.Broadcast()
 					}
-					in.jobDone(start, true)
 				}
+				mu.Unlock()
 			})
 		}(k)
 	}

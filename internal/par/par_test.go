@@ -149,7 +149,7 @@ func TestFrontierDrainsDynamicWork(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		seen := map[string]bool{}
-		Frontier(workers, []string{""}, func(path string) []string {
+		FrontierWorker(workers, []string{""}, func(_ int, path string) []string {
 			mu.Lock()
 			if seen[path] {
 				t.Errorf("node %q visited twice", path)
@@ -178,7 +178,7 @@ func TestFrontierPanicSurfacesOnCaller(t *testing.T) {
 			t.Fatalf("recovered %v", p)
 		}
 	}()
-	Frontier(2, []int{1, 2, 3, 4}, func(i int) []int {
+	FrontierWorker(2, []int{1, 2, 3, 4}, func(_, i int) []int {
 		if i == 3 {
 			panic("frontier boom")
 		}
@@ -193,7 +193,7 @@ func TestFrontierDeterministicAggregation(t *testing.T) {
 	collect := func(workers int) []int {
 		var mu sync.Mutex
 		var out []int
-		Frontier(workers, []int{10, 20, 30}, func(i int) []int {
+		FrontierWorker(workers, []int{10, 20, 30}, func(_, i int) []int {
 			mu.Lock()
 			out = append(out, i)
 			mu.Unlock()
@@ -279,7 +279,7 @@ func TestFrontierInstrumentation(t *testing.T) {
 	defer SetInstrumentation(nil)
 
 	// 1 seed item spawning a two-level tree: 1 + 3 + 9 items.
-	Frontier(4, []int{0}, func(depth int) []int {
+	FrontierWorker(4, []int{0}, func(_, depth int) []int {
 		if depth >= 2 {
 			return nil
 		}
@@ -291,50 +291,6 @@ func TestFrontierInstrumentation(t *testing.T) {
 	}
 	if snap.Gauge("par.busy") != 0 || snap.Gauge("par.queued") != 0 {
 		t.Errorf("gauges after drain: busy=%d queued=%d", snap.Gauge("par.busy"), snap.Gauge("par.queued"))
-	}
-}
-
-// TestFrontierStealsCounted forces cross-worker stealing: one seed item
-// fans out into far more follow-ups than the seeding worker can process
-// before its siblings go hunting, so the steals counter must move while
-// every item is still processed exactly once.
-func TestFrontierStealsCounted(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetInstrumentation(&Instrumentation{
-		Tasks:  reg.Counter("par.tasks"),
-		Steals: reg.Counter("par.frontier.steals"),
-		Queued: reg.Gauge("par.queued"),
-		Busy:   reg.Gauge("par.busy"),
-	})
-	defer SetInstrumentation(nil)
-
-	var processed atomic.Int64
-	Frontier(4, []int{0}, func(depth int) []int {
-		processed.Add(1)
-		// Busy-wait a little so siblings find the deque non-empty.
-		for i := 0; i < 2000; i++ {
-			_ = i * i
-		}
-		if depth >= 1 {
-			return nil
-		}
-		kids := make([]int, 64)
-		for i := range kids {
-			kids[i] = depth + 1
-		}
-		return kids
-	})
-	snap := reg.Snapshot()
-	if got := processed.Load(); got != 65 {
-		t.Fatalf("processed %d items, want 65", got)
-	}
-	if got := snap.Counter("par.tasks"); got != 65 {
-		t.Errorf("par.tasks = %d, want 65", got)
-	}
-	if runtime.NumCPU() > 1 {
-		if got := snap.Counter("par.frontier.steals"); got == 0 {
-			t.Logf("par.frontier.steals = 0 (no steal observed; timing-dependent on this host)")
-		}
 	}
 }
 
@@ -356,7 +312,7 @@ func TestFrontierPanickedItemNotATask(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		Frontier(1, []int{0}, func(i int) []int {
+		FrontierWorker(1, []int{0}, func(_, i int) []int {
 			if i == 2 {
 				panic("boom")
 			}
@@ -374,8 +330,7 @@ func TestFrontierPanickedItemNotATask(t *testing.T) {
 }
 
 // TestFrontierWorkerOwnership pins the MapWorker-style contract on the
-// stealing frontier: each worker index is owned by exactly one goroutine
-// at a time, even while items migrate between deques.
+// frontier: each worker index is owned by exactly one goroutine at a time.
 func TestFrontierWorkerOwnership(t *testing.T) {
 	const workers = 4
 	var active [workers]atomic.Int64
@@ -389,6 +344,47 @@ func TestFrontierWorkerOwnership(t *testing.T) {
 		}
 		return []int{depth + 1, depth + 1}
 	})
+}
+
+// TestFrontierChainWakesWaiters walks a chain in which every item has
+// exactly one follow-up: at any moment one item is in flight and the stack
+// is empty, so all other workers wait and must be woken for each link and
+// released when the last one retires. A lost wakeup hangs here.
+func TestFrontierChainWakesWaiters(t *testing.T) {
+	const n = 2000
+	var seen [n]atomic.Int32
+	FrontierWorker(8, []int{0}, func(_, i int) []int {
+		seen[i].Add(1)
+		runtime.Gosched() // let the other workers park on the empty stack
+		if i+1 == n {
+			return nil
+		}
+		return []int{i + 1}
+	})
+	for i := range seen {
+		if got := seen[i].Load(); got != 1 {
+			t.Fatalf("item %d processed %d times, want 1", i, got)
+		}
+	}
+}
+
+// TestFrontierChainPanicReleasesWaiters panics deep in a chain while the
+// other workers wait on an empty stack: the abort must wake them, and the
+// panic must re-raise on the caller instead of hanging the call.
+func TestFrontierChainPanicReleasesWaiters(t *testing.T) {
+	defer func() {
+		if p := recover(); p != "chain boom" {
+			t.Fatalf("recovered %v, want chain boom", p)
+		}
+	}()
+	FrontierWorker(8, []int{0}, func(_, i int) []int {
+		runtime.Gosched()
+		if i == 1500 {
+			panic("chain boom")
+		}
+		return []int{i + 1}
+	})
+	t.Fatal("FrontierWorker returned normally past a panic")
 }
 
 // TestUninstrumentedPoolUnaffected pins that the default (nil) state keeps

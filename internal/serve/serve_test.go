@@ -391,19 +391,24 @@ func ExampleStoreNames() {
 // its target alive, so the heap after GC must stay near where it started.
 func TestCreateDeleteReleasesPayloads(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		attack  bool
-		cycles  int
-		payload func(i int) int
-		budget  int64
+		name     string
+		attack   bool
+		installs int // 1 MiB installs per device
+		cycles   int
+		payload  func(i int) int
+		budget   int64
 	}{
 		// Distinct ~1 MiB payloads: one retained target per cycle (payload,
 		// its copy in the APK and the encoded archive) would hold >100 MiB.
-		{"distinct", false, 40, func(i int) int { return 1<<20 + i }, 16 << 20},
+		{"distinct", false, 0, 40, func(i int) int { return 1<<20 + i }, 16 << 20},
 		// Two payloads, alternating, each device attacked: the one-entry
 		// target memo rebuilds the other payload's target on every switch,
 		// so the attack's repackage must be shared by equal targets.
-		{"alternating-attacked", true, 24, func(i int) int { return 256<<10 + i%2 }, 8 << 20},
+		{"alternating-attacked", true, 0, 24, func(i int) int { return 256<<10 + i%2 }, 8 << 20},
+		// Every install publishes a new package, so each decoded 1 MiB
+		// image is a decode-cache entry no later install hits: 40 of them
+		// must not outlive their devices beyond the cache's byte cap.
+		{"installed", false, 5, 8, func(int) int { return 0 }, 32 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newTestFleet(t, Config{Shards: 1, Seed: 13})
@@ -414,6 +419,11 @@ func TestCreateDeleteReleasesPayloads(t *testing.T) {
 				}
 				if tc.attack {
 					if _, err := f.Attack(info.ID, AttackRequest{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for j := 0; j < tc.installs; j++ {
+					if _, err := f.Install(info.ID, InstallRequest{PayloadBytes: 1 << 20}); err != nil {
 						t.Fatal(err)
 					}
 				}

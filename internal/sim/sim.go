@@ -59,13 +59,8 @@ type Scheduler struct {
 	free     []*event
 	rng      *rand.Rand
 	arbiter  Arbiter
-	tagged   TaggedArbiter
 	injector fault.Injector
 	met      Metrics
-	// fpScratch is the reused footprint buffer handed to a TaggedArbiter,
-	// so footprint-aware tie-breaking allocates nothing per dispatch.
-	fpScratch []Footprint
-	fpCheck   FootprintCheck
 	// work counts queued events that are neither cancelled nor Ticker
 	// ticks. It is kept inside the enqueue, dispatch and Cancel critical
 	// sections, so RunUntilIdle reads it without a lock round trip of its
@@ -110,8 +105,6 @@ func (s *Scheduler) Reset(seed int64) {
 	// TestFastSourceMatchesMathRand and TestResetRestoresRandomStream.
 	s.rng.Seed(seed)
 	s.arbiter = nil
-	s.tagged = nil
-	s.fpCheck = nil
 	s.injector = nil
 	s.met = Metrics{}
 }
@@ -123,9 +116,6 @@ func (s *Scheduler) SetArbiter(a Arbiter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arbiter = a
-	if a != nil {
-		s.tagged = nil
-	}
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault hook consulted
@@ -213,7 +203,7 @@ func (s *Scheduler) Uniform(lo, hi time.Duration) time.Duration {
 // (t earlier than Now) clamps to the present: the event fires on the next
 // Step. The returned Timer can cancel the event before it fires.
 func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
-	tm := s.schedule(t, fn, Footprint{}, false)
+	tm := s.schedule(t, fn, false)
 	return &tm
 }
 
@@ -222,14 +212,14 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
 // keeps the steady-state hot path allocation-free (the event struct itself
 // is pooled).
 func (s *Scheduler) AtFn(t time.Duration, fn func()) {
-	s.schedule(t, fn, Footprint{}, false)
+	s.schedule(t, fn, false)
 }
 
 // schedule is the shared At/AtFn path: probe the fault injector, then
 // enqueue. It returns a handle to the queued event. tick marks a Ticker
 // re-arm, which RunUntilIdle does not wait for; an injected duplicate
 // inherits the mark.
-func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool) Timer {
+func (s *Scheduler) schedule(t time.Duration, fn func(), tick bool) Timer {
 	s.mu.Lock()
 	fi := s.injector
 	now := s.now
@@ -249,17 +239,17 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), fp Footprint, tick bool
 			// no-op.
 			return Timer{s: s, at: t}
 		case fault.KindDuplicate:
-			s.at(t+act.Delay, fn, fp, tick)
+			s.at(t+act.Delay, fn, tick)
 		}
 	}
-	return s.at(t, fn, fp, tick)
+	return s.at(t, fn, tick)
 }
 
 // at is the enqueue step, without the fault probe (used for injected
 // duplicates). The returned handle is built inside the critical section:
 // once the lock is released, a drive on another goroutine may fire and
 // recycle the event, bumping its generation.
-func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) Timer {
+func (s *Scheduler) at(t time.Duration, fn func(), tick bool) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t < s.now {
@@ -269,7 +259,6 @@ func (s *Scheduler) at(t time.Duration, fn func(), fp Footprint, tick bool) Time
 	ev.at = t
 	ev.seq = s.seq
 	ev.fn = fn
-	ev.fp = fp
 	ev.cancelled = false
 	ev.work = !tick
 	if ev.work {
@@ -298,7 +287,6 @@ func (s *Scheduler) alloc() *event {
 // Cancel cannot kill the event's next incarnation. Callers hold s.mu.
 func (s *Scheduler) recycle(ev *event) {
 	ev.fn = nil
-	ev.fp = Footprint{}
 	ev.gen++
 	s.free = append(s.free, ev)
 }
@@ -385,7 +373,7 @@ func (s *Scheduler) fire(ev *event) {
 // fires, and the rest return to the queue with their scheduling order
 // intact. Callers must hold s.mu.
 func (s *Scheduler) popRunnable(limit time.Duration) *event {
-	if s.arbiter == nil && s.tagged == nil {
+	if s.arbiter == nil {
 		ev := s.q.pop(limit)
 		if ev == nil {
 			s.met.Depth.Set(int64(s.q.size()))
@@ -403,24 +391,7 @@ func (s *Scheduler) popRunnable(limit time.Duration) *event {
 	}
 	idx := 0
 	if len(cands) > 1 {
-		var pick int
-		if s.tagged != nil {
-			if cap(s.fpScratch) < len(cands) {
-				s.fpScratch = make([]Footprint, len(cands))
-			}
-			fps := s.fpScratch[:len(cands)]
-			for i, ev := range cands {
-				fp := ev.fp
-				if fp.Kind != FootOpaque && s.fpCheck != nil && !s.fpCheck(fp) {
-					fp = Footprint{} // no longer provably confined: opaque
-				}
-				fps[i] = fp
-			}
-			pick = s.tagged(len(cands), fps)
-		} else {
-			pick = s.arbiter(len(cands))
-		}
-		if pick >= 0 && pick < len(cands) {
+		if pick := s.arbiter(len(cands)); pick >= 0 && pick < len(cands) {
 			idx = pick
 		}
 	}
@@ -491,7 +462,6 @@ type event struct {
 	seq       uint64
 	gen       uint64
 	fn        func()
-	fp        Footprint
 	cancelled bool
 	// work marks an event counted in Scheduler.work: queued, uncancelled
 	// and not a tick. Dispatch and Cancel clear it, so neither a Cancel

@@ -29,7 +29,7 @@ func NewTicker(s *Scheduler, period time.Duration, fn func(now time.Duration) bo
 // arm schedules the next tick. Ticks are marked as such, so a drive through
 // RunUntilIdle does not wait on a ticker that would re-arm forever.
 func (t *Ticker) arm() {
-	t.timer = t.s.schedule(t.s.Now()+t.period, t.tickFn, Footprint{}, true)
+	t.timer = t.s.schedule(t.s.Now()+t.period, t.tickFn, true)
 }
 
 func (t *Ticker) tick() {

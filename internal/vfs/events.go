@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"path"
 	"strings"
-
-	"github.com/ghost-installer/gia/internal/fault"
 )
 
 // EventKind is an inotify-style filesystem event type.
@@ -116,34 +114,6 @@ func (w *Watch) Close() {
 
 // Dir reports the watched directory.
 func (w *Watch) Dir() string { return w.dir }
-
-// WriteQuiet reports whether writing to (and closing a write handle on) an
-// already-open file directly inside dir is provably confined to dir right
-// now: no live watcher subscribes to dir (watcher callbacks run
-// synchronously and may do anything), no fault rule is armed at the vfs
-// write site (an injected error would bounce the writer onto its failure
-// path), and no capacity-limited mount covers or sits under dir (a write
-// could fail with ErrNoSpace). The chaos explorer's partial-order reduction
-// consults it at dispatch time — via the device's sim.FootprintCheck — to
-// validate FootVFS footprints; a false verdict makes the event opaque for
-// that dispatch instead of risking an unsound prune.
-func (fs *FS) WriteQuiet(dir string) bool {
-	for _, w := range fs.watchers[dir] {
-		if !w.closed {
-			return false
-		}
-	}
-	if fault.Armed(fs.injector, fault.SiteVFSWrite) {
-		return false
-	}
-	for i := range fs.mounts {
-		m := &fs.mounts[i]
-		if m.capacity > 0 && (underPrefix(dir, m.prefix) || underPrefix(m.prefix, dir)) {
-			return false
-		}
-	}
-	return true
-}
 
 func (fs *FS) emit(ev Event) {
 	// Event paths are already clean and absolute, so the containing

@@ -50,6 +50,13 @@ echo "== go test -race -count=2 ./... =="
 # the allocation budgets skip under race and get their own gate below.
 go test -race -count=2 ./...
 
+echo "== frontier stress (race, 20 runs) =="
+# The explorer's frontier parks idle workers on a condition variable. A
+# lost wakeup there hangs instead of failing, and two race runs may not
+# hit the interleaving, so the frontier tests repeat 20 times under a
+# timeout that turns a hang into a failure.
+go test -race -count=20 -timeout 120s -run '^TestFrontier' ./internal/par
+
 echo "== bench smoke (worker-pool engine under race, 1 iteration) =="
 # One race-enabled iteration of the parallel experiment engine: AllTables
 # and the fleet study fan out on the shared pool, so this catches data
