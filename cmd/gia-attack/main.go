@@ -104,12 +104,10 @@ func run(storeName, strategyName, defenseName string, seed int64, showTimeline b
 		return fmt.Errorf("unknown defense %q", defenseName)
 	}
 
-	atk := gia.NewTOCTOU(scenario.Mal, gia.AttackConfigForStore(prof, strat), scenario.Target)
-	if err := atk.Launch(); err != nil {
+	res, atk, err := scenario.Hijack(gia.AttackConfigForStore(prof, strat))
+	if err != nil {
 		return err
 	}
-	res := scenario.RunAIT()
-	atk.Stop()
 
 	fmt.Printf("store=%s strategy=%s defense=%s\n", prof.Package, strategyName, defenseName)
 	fmt.Printf("result: hijacked=%v clean=%v attempts=%d err=%v\n", res.Hijacked, res.Clean(), res.Attempts, res.Err)

@@ -246,12 +246,10 @@ func invariant(o options) (func(r *gia.ChaosRun) error, error) {
 			}
 			defer stop()
 		}
-		atk := gia.NewTOCTOU(s.Mal, gia.AttackConfigForStore(prof, strategy), s.Target)
-		if err := atk.Launch(); err != nil {
+		res, _, err := s.Hijack(gia.AttackConfigForStore(prof, strategy))
+		if err != nil {
 			return fmt.Errorf("launch: %w", err)
 		}
-		res := s.RunAIT()
-		atk.Stop()
 		if timeline != nil {
 			// The run's trace lane is the merged device timeline — the same
 			// event stream the golden TOCTOU timeline pins.

@@ -25,7 +25,9 @@
 // map is shared by every device and worker in the process and grows until
 // its owner evicts; a fixture built once and passed as a value needs
 // neither. Composite-literal lookup tables have an initializer and pass.
-// A map that earns its place carries a `//gia:global — why` comment on
+// A lock-free memo is as global as a map, so a package-level var of type
+// sync/atomic Pointer[T] or Value with no initializer is flagged too. A
+// global that earns its place carries a `//gia:global — why` comment on
 // the line of its name.
 //
 // Usage:
@@ -188,7 +190,8 @@ func vetFile(path string, deterministic bool) ([]string, error) {
 const wallclockGuard = "//gia:wallclock"
 
 // globalGuard is the comment marker acknowledging a process-global
-// mutable map. It must sit on the same line as the variable's name.
+// mutable map or atomic memo. It must sit on the same line as the
+// variable's name.
 const globalGuard = "//gia:global"
 
 // guardedLines records the lines carrying a guard comment; findings its
@@ -205,11 +208,12 @@ func (v *vetter) guardedLines(file *ast.File, guard string) map[int]bool {
 	return lines
 }
 
-// checkGlobals flags each package-level var whose type is a map, or a
-// struct with a map field, that has no initializer and no //gia:global
-// guard on its name's line.
+// checkGlobals flags each package-level var whose type is a map, a
+// struct with a map field, or a sync/atomic Pointer or Value, that has no
+// initializer and no //gia:global guard on its name's line.
 func (v *vetter) checkGlobals(file *ast.File) {
 	guarded := v.guardedLines(file, globalGuard)
+	atomicPkg := importName(file, "sync/atomic")
 	for _, decl := range file.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -217,16 +221,38 @@ func (v *vetter) checkGlobals(file *ast.File) {
 		}
 		for _, spec := range gd.Specs {
 			vs := spec.(*ast.ValueSpec)
-			if len(vs.Values) > 0 || !holdsMap(vs.Type) {
+			if len(vs.Values) > 0 {
 				continue
+			}
+			kind := "map"
+			if !holdsMap(vs.Type) {
+				if kind = atomicHolder(vs.Type, atomicPkg); kind == "" {
+					continue
+				}
 			}
 			for _, name := range vs.Names {
 				if !guarded[v.fset.Position(name.Pos()).Line] {
-					v.report(name.Pos(), "package-level map %s: process-global mutable state (build the value once and pass it, or justify with //gia:global)", name.Name)
+					v.report(name.Pos(), "package-level %s %s: process-global mutable state (build the value once and pass it, or justify with //gia:global)", kind, name.Name)
 				}
 			}
 		}
 	}
+}
+
+// atomicHolder names a declared type that is sync/atomic's Pointer[T] or
+// Value, imported as pkg ("" for any other type).
+func atomicHolder(t ast.Expr, pkg string) string {
+	if ix, ok := t.(*ast.IndexExpr); ok {
+		t = ix.X
+	}
+	sel, ok := t.(*ast.SelectorExpr)
+	if !ok || pkg == "" || (sel.Sel.Name != "Pointer" && sel.Sel.Name != "Value") {
+		return ""
+	}
+	if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg {
+		return ""
+	}
+	return "atomic." + sel.Sel.Name
 }
 
 // holdsMap reports whether a declared type is a map or a struct literal

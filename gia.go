@@ -571,7 +571,7 @@ func InstrumentWorkerPool(reg *ObsRegistry, tr *ObsTrace, pprofLabels bool) {
 }
 
 // ObserveAnalysisCache re-homes the shared analysis engines' telemetry
-// (scan counters plus the analysis and summary memo caches) onto reg, so
+// (scan counters plus the analysis memo cache) onto reg, so
 // corpus scans via ScanCorpusArtifacts / ClassifyInstallers surface their
 // cache behaviour. A nil registry is a no-op.
 func ObserveAnalysisCache(reg *ObsRegistry) { measure.ObserveSharedEngines(reg) }

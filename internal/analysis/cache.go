@@ -18,8 +18,7 @@ type EngineOptions struct {
 	CacheCapacity int
 	// Registry, when non-nil, re-homes the engine's telemetry onto it:
 	// scan counters under "analysis.scan.*" and — with the cache enabled —
-	// the analysis memo layer under "analysis.cache.canon.*" and the
-	// summary memo under "analysis.cache.summaries.*". Equivalent to
+	// the analysis memo layer under "analysis.cache.canon.*". Equivalent to
 	// calling Observe afterwards.
 	Registry *obs.Registry
 	// Trace, when non-nil, gives ScanCorpus workers wall-clock
@@ -37,7 +36,6 @@ func NewEngineWithOptions(o EngineOptions, rules ...Rule) *Engine {
 		e.cache = &sourceCache{
 			canon: NewCanonicalizer(DefaultCanonMarkers()),
 			table: memo.New[cachedSource](o.CacheCapacity),
-			sums:  memo.New[*ClassSummaries](o.CacheCapacity),
 		}
 	}
 	e.trace = o.Trace
@@ -63,7 +61,6 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	obs.Rehome(reg, "analysis.scan.cache.deduped", &e.met.cacheDeduped)
 	if e.cache != nil {
 		e.cache.table.Observe(reg, "analysis.cache.canon")
-		e.cache.sums.Observe(reg, "analysis.cache.summaries")
 	}
 }
 
@@ -74,18 +71,6 @@ func (e *Engine) CacheStats() (st memo.Stats, ok bool) {
 		return memo.Stats{}, false
 	}
 	return e.cache.table.Stats(), true
-}
-
-// SummaryCacheStats snapshots the content-addressed summary-object cache —
-// the per-class interprocedural summaries the taint rules share across
-// template twins. It is reported separately from CacheStats because
-// summaries are only computed on template-level misses: its counters are
-// a strict subset of the analysis traffic, not a second serving level.
-func (e *Engine) SummaryCacheStats() (st memo.Stats, ok bool) {
-	if e.cache == nil {
-		return memo.Stats{}, false
-	}
-	return e.cache.sums.Stats(), true
 }
 
 // cachedSource is one memoized analysis: the findings and stats of the
@@ -103,10 +88,6 @@ type cachedSource struct {
 type sourceCache struct {
 	canon *Canonicalizer
 	table *memo.Table[cachedSource]
-	// sums caches per-class summary objects by the content address of the
-	// bytes the analysis actually ran on (canonical bytes on the template
-	// path), so template twins share one immutable ClassSummaries.
-	sums *memo.Table[*ClassSummaries]
 }
 
 // analyze serves one file through the cache: canonicalize, serve the

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"github.com/ghost-installer/gia/internal/memo"
-)
+import "fmt"
 
 // Severity ranks a finding.
 type Severity int
@@ -82,12 +78,6 @@ type ClassInfo struct {
 
 	cg   *CallGraph
 	sums *ClassSummaries
-
-	// sumTable/sumKey, when set by a cache-enabled engine, serve Summaries
-	// content-addressed: classes with identical (canonical) source share
-	// one immutable ClassSummaries object instead of recomputing it.
-	sumTable *memo.Table[*ClassSummaries]
-	sumKey   memo.Key
 }
 
 // NewClassInfo wraps a parsed class for rule checking.
@@ -108,18 +98,10 @@ func (ci *ClassInfo) CallGraph() *CallGraph {
 }
 
 // Summaries returns the class's interprocedural taint summaries, computing
-// them on first use — through the engine's content-addressed summary cache
-// when one is attached.
+// them on first use.
 func (ci *ClassInfo) Summaries() *ClassSummaries {
 	if ci.sums == nil {
-		if ci.sumTable != nil {
-			v, _, _ := ci.sumTable.Do(ci.sumKey, func() (*ClassSummaries, error) {
-				return ComputeSummaries(ci), nil
-			})
-			ci.sums = v
-		} else {
-			ci.sums = ComputeSummaries(ci)
-		}
+		ci.sums = ComputeSummaries(ci)
 	}
 	return ci.sums
 }

@@ -110,13 +110,6 @@ func (e *Engine) analyzeUncached(file string, src []byte) ([]Finding, Stats, err
 		return nil, Stats{Files: 1, ParseErrors: 1}, err
 	}
 	ci := NewClassInfo(cls)
-	if e.cache != nil {
-		// Serve taint summaries content-addressed: src here is whatever the
-		// cache route analyzed (canonical bytes on the template path), so
-		// the key is canonicalization-stable by construction.
-		ci.sumTable = e.cache.sums
-		ci.sumKey = memo.KeyOf(src)
-	}
 	var findings []Finding
 	for _, rule := range e.rules {
 		findings = append(findings, rule.Check(ci)...)

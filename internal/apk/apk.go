@@ -323,17 +323,18 @@ func ContentDigest(encoded []byte) sig.Digest { return sig.Sum(encoded) }
 // package name intact — so consent dialogs and manifest-only verification
 // look identical) but attacker-controlled files, signed by the attacker's
 // key. If stripDRM is set, DRM self-check entries (drm/ prefix) are dropped,
-// matching the Amazon appstore attack of Section III-B.
+// matching the Amazon appstore attack of Section III-B. Original entries
+// that attackerFiles replaces are never copied; Build copies the rest.
 func Repackage(orig *APK, attackerFiles map[string][]byte, attackerKey *sig.Key, stripDRM bool) *APK {
 	files := make(map[string][]byte, len(orig.Files)+len(attackerFiles))
 	for name, data := range orig.Files {
-		if stripDRM && isDRMEntry(name) {
+		if _, replaced := attackerFiles[name]; replaced || stripDRM && isDRMEntry(name) {
 			continue
 		}
-		files[name] = append([]byte(nil), data...)
+		files[name] = data
 	}
 	for name, data := range attackerFiles {
-		files[name] = append([]byte(nil), data...)
+		files[name] = data
 	}
 	repacked := Build(orig.Manifest, files, attackerKey)
 	repacked.Padding = orig.Padding

@@ -1,6 +1,7 @@
 package apk
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -132,6 +133,36 @@ func TestRepackageKeepsManifestChangesSigner(t *testing.T) {
 	// right before install (Suggestion 2) would detect.
 	if ContentDigest(evil.Encode()) == ContentDigest(orig.Encode()) {
 		t.Error("repackaged content digest unchanged")
+	}
+}
+
+// TestRepackageBytesPinned pins Repackage's encoding, which must not
+// change when it stops copying the entries the attacker replaces, and
+// checks that the repackage shares no buffer with either input.
+func TestRepackageBytesPinned(t *testing.T) {
+	dev := sig.NewKey("bank-dev")
+	orig := WithDRM(Build(sampleManifest(), map[string][]byte{
+		"classes.dex":  bytes.Repeat([]byte("legit"), 40<<10),
+		"res/raw/data": []byte("kept"),
+	}, dev), dev)
+	orig.Padding = 300
+	attacker := sig.NewKey("attacker")
+	want := map[bool]string{
+		false: "29322ab7049cc6bfbe431eca6757f5abebc5a6df96c5c5bad1484162b90e50a4",
+		true:  "79ac9a2815d8faa20940305cabb51029a6e83a9295f4fcb414815baf075f306e",
+	}
+	for _, strip := range []bool{false, true} {
+		files := map[string][]byte{"classes.dex": []byte("malware"), "lib/x.so": []byte("so")}
+		evil := Repackage(orig, files, attacker, strip)
+		if got := ContentDigest(evil.Encode()).Hex(); got != want[strip] {
+			t.Errorf("strip=%v: encoding digest %s, want %s", strip, got, want[strip])
+		}
+		files["classes.dex"][0] = 'X'
+		orig.Files["res/raw/data"][0] = 'X'
+		if string(evil.Files["classes.dex"]) != "malware" || string(evil.Files["res/raw/data"]) != "kept" {
+			t.Errorf("strip=%v: the repackage aliases an input's bytes", strip)
+		}
+		orig.Files["res/raw/data"][0] = 'k'
 	}
 }
 

@@ -3,12 +3,10 @@ package attack
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/fileobserver"
-	"github.com/ghost-installer/gia/internal/sig"
 	"github.com/ghost-installer/gia/internal/sim"
 	"github.com/ghost-installer/gia/internal/vfs"
 )
@@ -140,48 +138,17 @@ type TOCTOU struct {
 	replacements []Replacement
 }
 
-// evilCache memoizes the repackaged attack APK per (original, signer)
-// pair: a sweep rebuilds the identical replacement for every schedule, and
-// each repackage re-copies, re-signs and re-encodes the full original. The
-// original is keyed by its encoded digest, not its pointer, so equal
-// targets built apart share one entry and no key keeps a target alive.
-// Cached APKs are shared and immutable.
-var evilCache struct { //gia:global — knockout: +10% per explore-sweep schedule, ×2.9 per explore-orders one
-	sync.Mutex
-	m map[evilKey]*apk.APK
-}
-
-type evilKey struct {
-	orig   sig.Digest
-	signer sig.Digest
-}
-
-func repackageCached(orig *apk.APK, key *sig.Key) *apk.APK {
-	k := evilKey{orig.EncodedDigest(), key.Certificate().Fingerprint}
-	evilCache.Lock()
-	evil := evilCache.m[k]
-	evilCache.Unlock()
-	if evil != nil {
-		return evil
-	}
-	evil = apk.Repackage(orig, defaultPayload, key, false)
-	evil.Encode()
-	evilCache.Lock()
-	if evilCache.m == nil {
-		evilCache.m = make(map[evilKey]*apk.APK)
-	}
-	evilCache.m[k] = evil
-	evilCache.Unlock()
-	return evil
-}
-
 // NewTOCTOU prepares a hijack of the store described by cfg, replacing the
 // genuine APK `orig` (obtained from the store beforehand) with a
 // same-manifest repackage carrying the attacker's classes.dex, signed by the
-// malware's key.
+// malware's key. For the target its kit was built with, that is the kit's
+// prepared replacement; any other APK is repackaged here.
 func NewTOCTOU(mal *Malware, cfg TOCTOUConfig, orig *apk.APK) *TOCTOU {
 	cfg.fill()
-	evil := repackageCached(orig, mal.Key)
+	evil := mal.kit.evil
+	if orig != mal.kit.target {
+		evil = apk.Repackage(orig, defaultPayload, mal.Key, false)
+	}
 	return &TOCTOU{
 		mal:      mal,
 		cfg:      cfg,

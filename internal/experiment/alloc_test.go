@@ -12,9 +12,9 @@ import (
 
 // warmSchedule returns one complete Amazon AIT hijack schedule on a warm
 // arena device, each call on the next seed, after running it once: the
-// first acquisition boots the device, the payload's target is built into
-// NewScenarioPayloadOn's one-entry memo, and the process-wide memo caches
-// (installer and malware images, repackaged APKs, decoded archives) fill.
+// first acquisition boots the device, the payload's target and its
+// scenario fixture (store image, malware kit and replacement) are built
+// into NewScenarioPayloadOn's one-entry memos, and the decode cache fills.
 func warmSchedule(t *testing.T, strategy attack.Strategy, payload []byte) func() {
 	t.Helper()
 	a := arena.New(ScenarioDeviceProfile(0))
@@ -57,9 +57,7 @@ func TestAITAllocBudget(t *testing.T) {
 	}
 	one := warmSchedule(t, attack.StrategyFileObserver, nil)
 	perAIT := testing.AllocsPerRun(100, one)
-	// Measured ~76 objects/schedule after the residual-allocator pass
-	// (path-string reuse, node slab, closure hoisting, lazy rng seeding);
-	// ~2.5x headroom.
+	// Measured 78 objects/schedule; ~2.5x headroom.
 	const budget = 200.0
 	if perAIT > budget {
 		t.Fatalf("one AIT schedule allocates %.0f objects, budget %.0f", perAIT, budget)
@@ -87,7 +85,7 @@ func TestOrdersAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perSchedule := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	// Measured 136 objects and ~10 KB per schedule; before the drive ended
+	// Measured 125 objects and ~9.5 KB per schedule; before the drive ended
 	// at quiescence and the download stopped copying, ~7,300 and ~4.5 MB.
 	const objectBudget, byteBudget = 400.0, 25_000.0
 	t.Logf("per-schedule allocations: %.0f objects (budget %.0f), %.0f bytes (budget %.0f)",

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/arena"
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/chaos"
@@ -60,16 +59,16 @@ func runDevice(r *chaos.Run) (dev *device.Device, release func(), err error) {
 	return dev, func() {}, nil
 }
 
-// aitRun builds a store scenario that publishes target on the run's
-// device, launches a TOCTOU attack with the given strategy, drives the AIT
-// and reports the result. patched enables the Section V-C FUSE defense.
-func aitRun(prof installer.Profile, strategy attack.Strategy, target *apk.APK, patched bool, r *chaos.Run) (installer.Result, error) {
+// aitRun deploys fx on the run's device, launches a TOCTOU attack with the
+// given strategy, drives the AIT and reports the result. patched enables
+// the Section V-C FUSE defense.
+func aitRun(fx *fixture, strategy attack.Strategy, patched bool, r *chaos.Run) (installer.Result, error) {
 	dev, release, err := runDevice(r)
 	if err != nil {
 		return installer.Result{}, fmt.Errorf("device: %w", err)
 	}
 	defer release()
-	s, err := newScenario(dev, prof, target)
+	s, err := newScenario(dev, fx)
 	if err != nil {
 		return installer.Result{}, fmt.Errorf("scenario: %w", err)
 	}
@@ -83,33 +82,34 @@ func aitRun(prof installer.Profile, strategy attack.Strategy, target *apk.APK, p
 	if k := r.Track(); k != nil {
 		s.Store.Instrument(nil, k)
 	}
-	atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, strategy), s.Target)
-	if err := atk.Launch(); err != nil {
+	res, _, err := s.Hijack(attack.ConfigForStore(fx.prof, strategy))
+	if err != nil {
 		return installer.Result{}, fmt.Errorf("launch: %w", err)
 	}
-	res := s.RunAIT()
-	atk.Stop()
 	return res, nil
 }
 
 // HijackRunFunc is the canonical chaos invariant of the exploration bench:
 // one complete AIT hijack scenario per schedule, asserting the hijack
 // lands. Devices come from the worker arena when the explorer carries one.
+// The scenario fixture is resolved here, once, through fixtureFor, so a
+// caller that makes a RunFunc per request (gia-serve's replay) does not
+// rebuild it each time; every schedule shares it.
 func HijackRunFunc(prof installer.Profile, strategy attack.Strategy) chaos.RunFunc {
-	return hijackRunFunc(prof, strategy, defaultTarget())
+	return hijackRunFunc(fixtureFor(prof, defaultTarget()), strategy)
 }
 
 // HijackPayloadRunFunc is HijackRunFunc with a caller-chosen classes.dex
 // payload; a payload larger than one transfer chunk (64 KiB) makes the
-// download multi-chunk. The target is built here, once, and no schedule
-// reads payload again.
+// download multi-chunk. The target and its fixture are built here, once,
+// and no schedule reads payload again.
 func HijackPayloadRunFunc(prof installer.Profile, strategy attack.Strategy, payload []byte) chaos.RunFunc {
-	return hijackRunFunc(prof, strategy, buildTarget(payload))
+	return hijackRunFunc(newFixture(prof, buildTarget(payload)), strategy)
 }
 
-func hijackRunFunc(prof installer.Profile, strategy attack.Strategy, target *apk.APK) chaos.RunFunc {
+func hijackRunFunc(fx *fixture, strategy attack.Strategy) chaos.RunFunc {
 	return func(r *chaos.Run) error {
-		res, err := aitRun(prof, strategy, target, false, r)
+		res, err := aitRun(fx, strategy, false, r)
 		if err != nil {
 			return err
 		}
@@ -180,8 +180,9 @@ func ExplorationStudy(seed int64, workers int) ([]ExplorationRow, error) {
 	res = ex.Sweep(seeds, jitters, foHijacks)
 	rows = append(rows, explorationRow("seed x jitter sweep (legacy)", "hijack lands", ex, res, foHijacks))
 
+	patchedFx := fixtureFor(installer.Amazon(), defaultTarget())
 	patchBlocks := func(r *chaos.Run) error {
-		res, err := aitRun(installer.Amazon(), attack.StrategyFileObserver, defaultTarget(), true, r)
+		res, err := aitRun(patchedFx, attack.StrategyFileObserver, true, r)
 		if err != nil {
 			return err
 		}

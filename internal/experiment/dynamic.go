@@ -64,7 +64,7 @@ func ScenarioDeviceProfile(seed int64) device.Profile {
 // NewScenarioOn builds the store + target + malware fixture on an
 // already-booted (or arena-acquired) device.
 func NewScenarioOn(dev *device.Device, prof installer.Profile) (*Scenario, error) {
-	return newScenario(dev, prof, defaultTarget())
+	return newScenario(dev, fixtureFor(prof, defaultTarget()))
 }
 
 // genuinePayload is the classes.dex of the default target.
@@ -92,7 +92,7 @@ type payloadTarget struct {
 	target  *apk.APK
 }
 
-var lastTarget atomic.Pointer[payloadTarget]
+var lastTarget atomic.Pointer[payloadTarget] //gia:global — rebuilding the 900 KiB target costs ~5 ms, against a ~65 µs explore-orders schedule that resolves it here
 
 // targetFor resolves payload to its target through a one-entry memo with
 // no lock. The built-in payload is defaultTarget. Any other payload reuses
@@ -118,27 +118,60 @@ func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// fixture is what every scenario of one store profile and one published
+// target deploys, built once by its owner and shared read-only: the
+// store's signing key and system image, the target, and the attacker's kit
+// with its replacement of that target prepared.
+type fixture struct {
+	prof       installer.Profile
+	storeKey   *sig.Key
+	storeImage *apk.APK
+	target     *apk.APK
+	kit        *attack.Kit
+}
+
+func newFixture(prof installer.Profile, target *apk.APK) *fixture {
+	key, image := installer.Image(prof)
+	return &fixture{prof: prof, storeKey: key, storeImage: image, target: target, kit: attack.NewKit("com.fun.game", target)}
+}
+
+var lastFixture atomic.Pointer[fixture] //gia:global — rebuilding the fixture on every schedule took one explore-orders schedule from ~65 to ~115 µs
+
+// fixtureFor resolves (prof, target) to its fixture through a one-entry
+// memo with no lock, beside targetFor's: a hit costs one atomic load and
+// one profile comparison, and a miss builds a fixture that replaces the
+// entry. Keeping the two entries apart means a scenario of the built-in
+// payload never makes the next large-payload scenario rebuild its target.
+func fixtureFor(prof installer.Profile, target *apk.APK) *fixture {
+	if f := lastFixture.Load(); f != nil && f.target == target && f.prof == prof {
+		return f
+	}
+	f := newFixture(prof, target)
+	lastFixture.Store(f)
+	return f
+}
+
 // NewScenarioPayloadOn is NewScenarioOn with a caller-chosen payload,
 // resolved to its target by targetFor. The payload must not be modified
 // after the call, or a later call with the same buffer publishes the
 // target of its old bytes.
 func NewScenarioPayloadOn(dev *device.Device, prof installer.Profile, payload []byte) (*Scenario, error) {
-	return newScenario(dev, prof, targetFor(payload))
+	return newScenario(dev, fixtureFor(prof, targetFor(payload)))
 }
 
-// newScenario deploys the store profile on dev, publishes target and
-// plants the malware.
-func newScenario(dev *device.Device, prof installer.Profile, target *apk.APK) (*Scenario, error) {
-	store, err := installer.Deploy(dev, prof, nil)
+// newScenario deploys fx on dev: the store's image, the published target
+// and the malware.
+func newScenario(dev *device.Device, fx *fixture) (*Scenario, error) {
+	store, err := installer.DeployImage(dev, fx.prof, fx.storeKey, fx.storeImage)
 	if err != nil {
 		return nil, err
 	}
-	store.Store.Publish(target)
-	mal, err := attack.DeployMalware(dev, "com.fun.game")
+	store.Store.Publish(fx.target)
+	mal, err := fx.kit.Deploy(dev)
 	if err != nil {
 		return nil, err
 	}
-	return &Scenario{Dev: dev, Store: store, Mal: mal, Target: target}, nil
+	return &Scenario{Dev: dev, Store: store, Mal: mal, Target: fx.target}, nil
 }
 
 // RunAIT triggers one installation of the target and drives the clock
@@ -154,6 +187,19 @@ func (s *Scenario) RunAIT() installer.Result {
 	s.Store.RequestInstall(TargetPackage, func(r installer.Result) { res, done = r, true })
 	s.Dev.Sched.RunUntilIdle(s.Dev.Sched.Now()+horizon, func() bool { return done })
 	return res
+}
+
+// Hijack launches a TOCTOU attack configured by cfg against the scenario's
+// target, drives one installation of it with RunAIT and stops the attack.
+// The error is the attack's setup failure, if any.
+func (s *Scenario) Hijack(cfg attack.TOCTOUConfig) (installer.Result, *attack.TOCTOU, error) {
+	atk := attack.NewTOCTOU(s.Mal, cfg, s.Target)
+	if err := atk.Launch(); err != nil {
+		return installer.Result{}, nil, err
+	}
+	res := s.RunAIT()
+	atk.Stop()
+	return res, atk, nil
 }
 
 // HijackOutcome is one row of the hijack study.
@@ -183,12 +229,10 @@ func HijackStudy(seed int64) ([]HijackOutcome, error) {
 				return nil, err
 			}
 			cfg := attack.ConfigForStore(prof, strategy)
-			atk := attack.NewTOCTOU(s.Mal, cfg, s.Target)
-			if err := atk.Launch(); err != nil {
+			res, atk, err := s.Hijack(cfg)
+			if err != nil {
 				return nil, err
 			}
-			res := s.RunAIT()
-			atk.Stop()
 			storeName := prof.Package
 			if prof.UseManifestVerification {
 				storeName += " (v2, manifest-verify)"
@@ -268,12 +312,10 @@ func TableV(seed int64) (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(e.prof, attack.StrategyFileObserver), s.Target)
-			if err := atk.Launch(); err != nil {
+			res, _, err := s.Hijack(attack.ConfigForStore(e.prof, attack.StrategyFileObserver))
+			if err != nil {
 				return Table{}, err
 			}
-			res := s.RunAIT()
-			atk.Stop()
 			if !res.Hijacked {
 				verified = fmt.Sprintf("NOT reproduced (%v)", res.Err)
 			}
@@ -657,12 +699,10 @@ func DAPPStudy(seed int64, cleanInstalls, attacks int) (DAPPStudyResult, error) 
 		if err != nil {
 			return res, err
 		}
-		atk := attack.NewTOCTOU(as.Mal, attack.ConfigForStore(prof, attack.StrategyFileObserver), as.Target)
-		if err := atk.Launch(); err != nil {
+		r, _, err := as.Hijack(attack.ConfigForStore(prof, attack.StrategyFileObserver))
+		if err != nil {
 			return res, err
 		}
-		r := as.RunAIT()
-		atk.Stop()
 		if r.Hijacked {
 			res.Attacks++
 			if adapp.Thwarted(TargetPackage) {

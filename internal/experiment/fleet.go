@@ -52,13 +52,8 @@ func FleetStudy(devicesPerStore int, seed int64, workers int) ([]FleetOutcome, e
 		if err != nil {
 			return false, err
 		}
-		atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(j.prof, attack.StrategyFileObserver), s.Target)
-		if err := atk.Launch(); err != nil {
-			return false, err
-		}
-		res := s.RunAIT()
-		atk.Stop()
-		return res.Hijacked, nil
+		res, _, err := s.Hijack(attack.ConfigForStore(j.prof, attack.StrategyFileObserver))
+		return res.Hijacked, err
 	})
 	if err != nil {
 		return nil, err

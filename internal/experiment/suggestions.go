@@ -53,13 +53,8 @@ func SuggestionStudy(seed int64, workers int) ([]SuggestionOutcome, error) {
 			if err != nil {
 				return installer.Result{}, err
 			}
-			atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(jb.prof, jb.strategy), s.Target)
-			if err := atk.Launch(); err != nil {
-				return installer.Result{}, err
-			}
-			res := s.RunAIT()
-			atk.Stop()
-			return res, nil
+			res, _, err := s.Hijack(attack.ConfigForStore(jb.prof, jb.strategy))
+			return res, err
 		}
 		// The stock and hardened runs deliberately share one derived seed:
 		// the comparison must isolate the profile change from the timing

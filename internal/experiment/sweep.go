@@ -59,13 +59,8 @@ func ReactionLatencySweep(prof installer.Profile, latencies []time.Duration, tri
 		}
 		cfg := attack.ConfigForStore(prof, attack.StrategyFileObserver)
 		cfg.ReactMin, cfg.ReactMax = latency, latency
-		atk := attack.NewTOCTOU(s.Mal, cfg, s.Target)
-		if err := atk.Launch(); err != nil {
-			return false, err
-		}
-		res := s.RunAIT()
-		atk.Stop()
-		return res.Hijacked, nil
+		res, _, err := s.Hijack(cfg)
+		return res.Hijacked, err
 	})
 }
 
@@ -80,13 +75,8 @@ func WaitDelaySweep(prof installer.Profile, delays []time.Duration, trials int, 
 		}
 		cfg := attack.ConfigForStore(prof, attack.StrategyWaitAndSee)
 		cfg.WaitDelay = delay
-		atk := attack.NewTOCTOU(s.Mal, cfg, s.Target)
-		if err := atk.Launch(); err != nil {
-			return false, err
-		}
-		res := s.RunAIT()
-		atk.Stop()
-		return res.Hijacked, nil
+		res, _, err := s.Hijack(cfg)
+		return res.Hijacked, err
 	})
 }
 

@@ -77,12 +77,10 @@ func verifyDAPP(seed int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, attack.StrategyFileObserver), s.Target)
-	if err := atk.Launch(); err != nil {
+	res, _, err := s.Hijack(attack.ConfigForStore(prof, attack.StrategyFileObserver))
+	if err != nil {
 		return false, err
 	}
-	res := s.RunAIT()
-	atk.Stop()
 	// DAPP detects rather than blocks: the hijack lands, but the user is
 	// alerted before using the app.
 	return res.Hijacked && dapp.Thwarted(TargetPackage), nil
@@ -95,12 +93,10 @@ func verifyFUSE(seed int64) (bool, error) {
 		return false, err
 	}
 	s.Dev.Fuse.SetPatched(true)
-	atk := attack.NewTOCTOU(s.Mal, attack.ConfigForStore(prof, attack.StrategyFileObserver), s.Target)
-	if err := atk.Launch(); err != nil {
+	res, atk, err := s.Hijack(attack.ConfigForStore(prof, attack.StrategyFileObserver))
+	if err != nil {
 		return false, err
 	}
-	res := s.RunAIT()
-	atk.Stop()
 	// The FUSE patch blocks the replacement outright: clean install.
 	return res.Clean() && len(atk.Replacements()) == 0, nil
 }

@@ -7,7 +7,6 @@ import (
 	"path"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/ghost-installer/gia/internal/apk"
@@ -114,36 +113,25 @@ func (a *App) Instrument(reg *obs.Registry, track *obs.Track) {
 	}
 }
 
-// imageCache memoizes default-key installer images: an image is a pure
-// function of the profile and its derived signing key, and the sweeps and
-// fleet studies deploy the same handful of stores onto thousands of
-// devices. Cached images are shared and must stay immutable.
-var imageCache struct { //gia:global — knockout: +70% per explore-sweep schedule, +9% per explore-orders one
-	sync.Mutex
-	m map[Profile]*apk.APK
-}
-
 // Deploy builds the installer's APK from its profile, installs it as part
 // of the system image, registers its components with the AMS and connects
-// (or creates) its store server.
+// (or creates) its store server. A nil key signs with the profile's own
+// key, as Image does.
 func Deploy(dev *device.Device, prof Profile, key *sig.Key) (*App, error) {
 	if key == nil {
-		key = sig.NewKey(prof.Package + "-signer")
-		imageCache.Lock()
-		image := imageCache.m[prof]
-		imageCache.Unlock()
-		if image == nil {
-			image = buildImage(prof, key)
-			imageCache.Lock()
-			if imageCache.m == nil {
-				imageCache.m = make(map[Profile]*apk.APK)
-			}
-			imageCache.m[prof] = image
-			imageCache.Unlock()
-		}
+		key, image := Image(prof)
 		return DeployImage(dev, prof, key, image)
 	}
 	return DeployImage(dev, prof, key, buildImage(prof, key))
+}
+
+// Image builds the store's system image for prof and the key that signs
+// it: what Deploy installs when given no key. Callers that deploy one
+// profile onto many devices build it once and hand it to DeployImage; the
+// image is shared and must stay immutable.
+func Image(prof Profile) (*sig.Key, *apk.APK) {
+	key := sig.NewKey(prof.Package + "-signer")
+	return key, buildImage(prof, key)
 }
 
 // buildImage assembles the store's system-image APK for prof, signed by key.

@@ -1,6 +1,7 @@
 package installer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -403,6 +404,36 @@ func TestDRMTamperedImageRefusesToRun(t *testing.T) {
 	stripped := apk.Repackage(genuine, map[string][]byte{"classes.dex": []byte("evil")}, attacker, true)
 	if _, err := DeployImage(d, prof, attacker, stripped); err != nil {
 		t.Fatalf("DRM-stripped deploy failed: %v", err)
+	}
+}
+
+// TestDeployInstallsImage pins Image as what Deploy installs when given no
+// key: the store under /system/app is the image's encoding byte for byte,
+// so a caller that builds the image once and deploys it with DeployImage
+// installs the same store on every device.
+func TestDeployInstallsImage(t *testing.T) {
+	for _, prof := range []Profile{Amazon(), Xiaomi(), GooglePlay()} {
+		key, image := Image(prof)
+		for _, deploy := range []func(*device.Device) (*App, error){
+			func(d *device.Device) (*App, error) { return Deploy(d, prof, nil) },
+			func(d *device.Device) (*App, error) { return DeployImage(d, prof, key, image) },
+		} {
+			d := bootDev(t)
+			app, err := deploy(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			installed, err := d.FS.ReadFile(app.Pkg.CodePath, vfs.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(installed, image.Encode()) {
+				t.Errorf("%s: the installed store differs from Image's", prof.Package)
+			}
+			if !app.Key.Certificate().Equal(key.Certificate()) {
+				t.Errorf("%s: the store's key is not Image's", prof.Package)
+			}
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ type Instrumentation struct {
 // instr is the package-wide instrumentation; the pool is process-shared,
 // so its telemetry is too. Loaded once per worker spin-up — never on the
 // per-job fast path when disabled.
-var instr atomic.Pointer[Instrumentation]
+var instr atomic.Pointer[Instrumentation] //gia:global — the process-wide pool telemetry that gia.InstrumentWorkerPool switches on and off
 
 // SetInstrumentation installs hooks for every subsequent Map, Run and
 // FrontierWorker call (nil disables them). Calls already in flight keep the
