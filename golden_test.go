@@ -3,6 +3,7 @@ package gia_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,6 +53,48 @@ func recordTOCTOUTimeline(t *testing.T) *gia.ObsTrack {
 	}
 	res.Record(timeline)
 	return timeline
+}
+
+// measurementIDs names the Section IV tables: everything AllTables renders
+// from the measurement corpus.
+var measurementIDs = map[string]bool{
+	"Table II": true, "Table III": true, "Table IV": true, "Table VI": true,
+	"Key Study": true, "Hare Study": true, "Flow Study": true, "Threat Scores": true,
+}
+
+// TestGoldenMeasurementTables pins the rendered Section IV tables at scale
+// 0.1 for two seeds, as AllTables renders them, and requires
+// MeasurementTables to render its six identically. The goldens were
+// written once and are never regenerated: a change to how the corpus is
+// scanned or tallied must reproduce them byte for byte.
+func TestGoldenMeasurementTables(t *testing.T) {
+	for _, seed := range []int64{2017, 7} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			tables, err := gia.AllTables(gia.ExperimentOptions{Seed: seed, Scale: 0.1, PerfReps: 1, DAPPInstalls: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var text bytes.Buffer
+			rendered := make(map[string]string)
+			for _, tab := range tables {
+				if measurementIDs[tab.ID] {
+					rendered[tab.ID] = tab.Render()
+					fmt.Fprintln(&text, rendered[tab.ID])
+				}
+			}
+			if len(rendered) != len(measurementIDs) {
+				t.Fatalf("AllTables rendered %d of the %d measurement tables", len(rendered), len(measurementIDs))
+			}
+			checkGolden(t, fmt.Sprintf("measurement_%d.golden", seed), text.Bytes())
+
+			c := gia.GenerateCorpus(gia.CorpusConfig{Seed: seed, Scale: 0.1})
+			for _, tab := range gia.MeasurementTables(c) {
+				if got := tab.Render(); got != rendered[tab.ID] {
+					t.Errorf("MeasurementTables' %s differs from AllTables':\n%s\n--- AllTables ---\n%s", tab.ID, got, rendered[tab.ID])
+				}
+			}
+		})
+	}
 }
 
 // checkGolden diffs got against testdata/name, or rewrites the file under
