@@ -179,15 +179,17 @@ func (d *Daemon) checkCallerAccess(req vfs.Request) error {
 	}
 }
 
-// subtreeVictim returns a protected APK under dir not owned by actor.
+// subtreeVictim returns the lexicographically smallest protected APK under
+// dir not owned by actor, so the refusal names the same file whatever the
+// map's iteration order.
 func (d *Daemon) subtreeVictim(dir string, actor vfs.UID) string {
-	prefix := dir + "/"
+	prefix, victim := dir+"/", ""
 	for path, owner := range d.apkList {
-		if owner != actor && strings.HasPrefix(path, prefix) {
-			return path
+		if owner != actor && strings.HasPrefix(path, prefix) && (victim == "" || path < victim) {
+			victim = path
 		}
 	}
-	return ""
+	return victim
 }
 
 // maintainList updates the APK list after an allowed destructive operation.

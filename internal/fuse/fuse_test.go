@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,16 +134,44 @@ func TestPatchedFUSEBlocksOverwriteDeleteRename(t *testing.T) {
 }
 
 func TestPatchedFUSEBlocksPathAlteration(t *testing.T) {
-	fs, _ := newSDCard(t, true)
-	if err := fs.WriteFile("/sdcard/store/app.apk", []byte("legit"), storeApp, 0); err != nil {
-		t.Fatal(err)
+	fs, d := newSDCard(t, true)
+	for _, name := range []string{"app.apk", "b.apk", "c.apk"} {
+		if err := fs.WriteFile("/sdcard/store/"+name, []byte("legit"), storeApp, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Renaming the whole directory away (to recreate it with a malicious
-	// APK) is the bypass handle_rename prevents.
-	if err := fs.Rename("/sdcard/store", "/sdcard/hidden", attacker); !errors.Is(err, vfs.ErrPermission) {
-		t.Errorf("directory rename = %v, want ErrPermission", err)
+	// APK) is the bypass handle_rename prevents; so is deleting the tree.
+	// Each refusal names the smallest protected path, whatever order the
+	// APK list's map yields its three candidates in.
+	const want = "would affect protected APK /sdcard/store/app.apk:"
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{
+		{"directory rename", func() error { return fs.Rename("/sdcard/store", "/sdcard/hidden", attacker) }},
+		// vfs.Remove refuses a non-empty directory before the daemon sees
+		// it, so the directory delete goes to the daemon's check directly.
+		{"directory delete", func() error {
+			return d.Check(fs, vfs.Request{Op: vfs.OpDelete, Path: "/sdcard/store", Actor: attacker, Info: &vfs.Info{IsDir: true}})
+		}},
+	} {
+		first := ""
+		for i := 0; i < 50; i++ {
+			err := op.do()
+			if !errors.Is(err, vfs.ErrPermission) {
+				t.Fatalf("%s = %v, want ErrPermission", op.name, err)
+			}
+			if i == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("%s error changed between tries:\n%s\n%s", op.name, first, err)
+			}
+		}
+		if !strings.Contains(first, want) {
+			t.Errorf("%s error = %q, want it to name the smallest protected path", op.name, first)
+		}
 	}
-	// So is deleting the tree.
 	if err := fs.Remove("/sdcard/store/app.apk", attacker); !errors.Is(err, vfs.ErrPermission) {
 		t.Errorf("delete = %v, want ErrPermission", err)
 	}
