@@ -1,10 +1,9 @@
-// Command gia-vet is the repo's determinism linter. The simulation,
-// chaos and experiment layers promise bit-identical output for a given
-// seed at any worker count; that promise dies the moment one of them
-// reads the wall clock, draws from the process-global rand source, or
-// prints in map-iteration order. gia-vet walks those packages' syntax
-// trees (stdlib go/ast only — no external analysis framework) and fails
-// the build on:
+// Command gia-vet is the repo's determinism linter. Every package under
+// internal/ promises bit-identical output for a given seed at any worker
+// count; that promise dies the moment one of them reads the wall clock,
+// draws from the process-global rand source, or prints in map-iteration
+// order. gia-vet walks those packages' syntax trees (stdlib go/ast only —
+// no external analysis framework) and fails the build on:
 //
 //   - time.Now calls — simulated time comes from the scheduler, wall
 //     time from the injectable obs.Stopwatch; a site that legitimately
@@ -19,8 +18,7 @@
 //     is nondeterministic by construction (collect the keys, sort,
 //     then emit).
 //
-// Across every package under internal/ it also flags process-global
-// mutable maps: a package-level var in a non-test file whose type is a
+// It also flags process-global mutable maps: a package-level var in a non-test file whose type is a
 // map, or a struct with a map field, and that has no initializer. Such a
 // map is shared by every device and worker in the process and grows until
 // its owner evicts; a fixture built once and passed as a value needs
@@ -34,10 +32,10 @@
 //
 //	gia-vet [dir ...]    # default: every package under ./internal
 //
-// Named directories get every check. Exit code 0 when clean, 1 with
+// Every directory gets every check. Exit code 0 when clean, 1 with
 // findings, 2 on parse errors. The checks are syntactic: map-ness is
 // inferred from declarations visible in the same file, which covers the
-// guarded packages without a type checker.
+// checked packages without a type checker.
 package main
 
 import (
@@ -51,15 +49,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-// guardedDirs are the packages under the determinism contract, relative
-// to the module root.
-var guardedDirs = []string{
-	"internal/sim",
-	"internal/chaos",
-	"internal/experiment",
-	"internal/serve",
-}
 
 // globalRandFuncs are the math/rand package-level functions that draw
 // from (or reseed) the shared global source. Constructors (New,
@@ -81,28 +70,24 @@ var printFuncs = map[string]bool{
 }
 
 func main() {
-	var dirs []pkgDir
-	if args := os.Args[1:]; len(args) == 0 || (len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
+	dirs := os.Args[1:]
+	if len(dirs) == 0 || (len(dirs) == 1 && (dirs[0] == "./..." || dirs[0] == "...")) {
 		var err error
 		if dirs, err = defaultDirs("."); err != nil {
 			fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
 			os.Exit(2)
 		}
-	} else {
-		for _, dir := range args {
-			dirs = append(dirs, pkgDir{path: dir, deterministic: true})
-		}
 	}
 	code := 0
 	for _, dir := range dirs {
-		files, err := goFiles(dir.path)
+		files, err := goFiles(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
 			code = 2
 			continue
 		}
 		for _, path := range files {
-			findings, err := vetFile(path, dir.deterministic)
+			findings, err := vetFile(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "gia-vet: %v\n", err)
 				code = 2
@@ -119,21 +104,9 @@ func main() {
 	os.Exit(code)
 }
 
-// pkgDir is one directory gia-vet checks; deterministic adds the
-// determinism checks to the globals check.
-type pkgDir struct {
-	path          string
-	deterministic bool
-}
-
-// defaultDirs lists every package directory under root/internal, marking
-// the guardedDirs as deterministic.
-func defaultDirs(root string) ([]pkgDir, error) {
-	guarded := map[string]bool{}
-	for _, d := range guardedDirs {
-		guarded[filepath.Join(root, d)] = true
-	}
-	var out []pkgDir
+// defaultDirs lists every package directory under root/internal.
+func defaultDirs(root string) ([]string, error) {
+	var out []string
 	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -142,7 +115,7 @@ func defaultDirs(root string) ([]pkgDir, error) {
 			return filepath.SkipDir
 		}
 		if e.IsDir() {
-			out = append(out, pkgDir{path: path, deterministic: guarded[path]})
+			out = append(out, path)
 		}
 		return nil
 	})
@@ -165,9 +138,9 @@ func goFiles(dir string) ([]string, error) {
 	return out, nil
 }
 
-// vetFile parses one source file and runs the globals check over it (test
-// files excepted) and, when deterministic, the three determinism checks.
-func vetFile(path string, deterministic bool) ([]string, error) {
+// vetFile parses one source file and runs the three determinism checks
+// and, test files excepted, the globals check over it.
+func vetFile(path string) ([]string, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
@@ -177,11 +150,9 @@ func vetFile(path string, deterministic bool) ([]string, error) {
 	if !strings.HasSuffix(path, "_test.go") {
 		v.checkGlobals(file)
 	}
-	if deterministic {
-		v.wallclockOK = v.guardedLines(file, wallclockGuard)
-		v.collectMapIdents(file)
-		ast.Inspect(file, v.visit)
-	}
+	v.wallclockOK = v.guardedLines(file, wallclockGuard)
+	v.collectMapIdents(file)
+	ast.Inspect(file, v.visit)
 	return v.findings, nil
 }
 
@@ -297,7 +268,7 @@ type vetter struct {
 // collectMapIdents records every identifier the file visibly declares
 // with a map type: var/field declarations, make(map...) and map-literal
 // assignments, and function parameters. Purely syntactic — good enough
-// to decide "is this range over a map" inside the guarded packages.
+// to decide "is this range over a map" inside the checked packages.
 func (v *vetter) collectMapIdents(file *ast.File) {
 	v.mapNames = map[string]bool{}
 	ast.Inspect(file, func(n ast.Node) bool {

@@ -232,7 +232,7 @@ func (e *Engine) ScanCorpus(n, workers int, fetch func(int) *apk.APK) ([]Report,
 	if workers > n && n > 0 {
 		workers = n
 	}
-	start := time.Now()
+	start := time.Now() //gia:wallclock — ScanStats.Elapsed: gia-lint's throughput line, never a rendered table
 	reports := make([]Report, n)
 	partials := make([]ScanStats, workers)
 	indices := make(chan int)

@@ -13,7 +13,7 @@ type Clock func() time.Duration
 
 // Stopwatch returns a real monotonic wall clock starting at zero now.
 func Stopwatch() Clock {
-	start := time.Now()
+	start := time.Now() //gia:wallclock — the blessed wall clock every wall-time span and latency reads
 	return func() time.Duration { return time.Since(start) }
 }
 

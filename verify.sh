@@ -16,14 +16,14 @@ fi
 echo "== go vet ./... =="
 go vet ./...
 
-echo "== gia-vet (determinism lint: sim, chaos, experiment, serve; global maps and atomic memos: all of internal/) =="
-# The custom linter forbids time.Now, the global math/rand source and
-# map-iteration-ordered output in the deterministic packages. In
-# internal/serve every wall-clock read must carry a //gia:wallclock
-# justification so nothing unguarded leaks into telemetry output. Over
-# every package under internal/, a package-level mutable map or
-# sync/atomic Pointer/Value (a process-global cache or lock-free memo)
-# must carry a //gia:global justification on its line.
+echo "== gia-vet (determinism lint, global maps and atomic memos: all of internal/) =="
+# Over every package under internal/, the custom linter forbids time.Now,
+# the global math/rand source and map-iteration-ordered output. Every
+# wall-clock read must carry a //gia:wallclock justification so nothing
+# unguarded leaks into simulation or telemetry output, and a
+# package-level mutable map or sync/atomic Pointer/Value (a
+# process-global cache or lock-free memo) must carry a //gia:global
+# justification on its line.
 go run ./cmd/gia-vet
 
 echo "== go build ./... =="
