@@ -61,34 +61,23 @@ func BenchmarkTableI_AttackSteps(b *testing.B) {
 
 // --- Tables II–IV, VI: the measurement study --------------------------------
 
-func BenchmarkTableII_PlayClassification(b *testing.B) {
+// BenchmarkMeasureCorpus times what Tables II, III and IV render from:
+// building and scanning the corpus' Play and unique pre-installed apps on
+// the shared cached engine (cold on the first iteration, warm after), then
+// tallying both populations and the Play redirect census.
+func BenchmarkMeasureCorpus(b *testing.B) {
 	c := benchCorpus()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cls := measure.ClassifyAll(c.PlayApps)
-		if cls.VulnerableFracKnown() < 0.8 {
-			b.Fatalf("vulnerable frac = %f", cls.VulnerableFracKnown())
+		m := experiment.Measure(nil, c, runtime.NumCPU())
+		if cls := measure.Tally(m.Play); cls.VulnerableFracKnown() < 0.8 {
+			b.Fatalf("play vulnerable frac = %f", cls.VulnerableFracKnown())
 		}
-	}
-}
-
-func BenchmarkTableIII_PreinstalledClassification(b *testing.B) {
-	c := benchCorpus()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cls := measure.ClassifyAll(measure.UniquePreinstalled(c.Images))
-		if cls.VulnerableFracKnown() < 0.9 {
-			b.Fatalf("vulnerable frac = %f", cls.VulnerableFracKnown())
+		if cls := measure.Tally(m.Preinstalled); cls.VulnerableFracKnown() < 0.9 {
+			b.Fatalf("pre-installed vulnerable frac = %f", cls.VulnerableFracKnown())
 		}
-	}
-}
-
-func BenchmarkTableIV_RedirectTargets(b *testing.B) {
-	c := benchCorpus()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buckets := measure.RedirectCensus(c.PlayApps)
-		if buckets.Redirecting == 0 {
+		if measure.RedirectCensus(m.Play).Redirecting == 0 {
 			b.Fatal("no redirecting apps")
 		}
 	}

@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	gia-bench [-seed N] [-scale F] [-reps N] [-workers N] [-cache on|off]
-//	          [-trace FILE] [-metrics] [-cpuprofile FILE] [-memprofile FILE]
+//	gia-bench [-seed N] [-scale F] [-reps N] [-workers N] [-json]
+//	          [-report FILE] [-trace FILE] [-metrics]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Observability: -trace=FILE exports wall-clock spans of the shared worker
 // pool (one track per worker, one span per job) as Chrome trace-event JSON,
@@ -31,7 +32,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "measurement corpus scale (1.0 = paper-sized)")
 	reps := flag.Int("reps", 100, "repetitions for the performance tables")
 	workers := flag.Int("workers", runtime.NumCPU(), "experiment worker pool size (tables are identical for any value)")
-	cache := flag.String("cache", "on", "content-addressed analysis cache for the artifact-scanning tables: on|off (tables are identical either way)")
 	asJSON := flag.Bool("json", false, "emit tables as a JSON array")
 	reportPath := flag.String("report", "", "also write a markdown reproduction report to this path")
 	tracePath := flag.String("trace", "", "export a Chrome trace (or JSONL if the path ends in .jsonl) of the worker pool")
@@ -39,10 +39,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
-
-	if *cache != "on" && *cache != "off" {
-		log.Fatalf("-cache=%q: want on or off", *cache)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -73,8 +69,7 @@ func main() {
 		defer gia.InstrumentWorkerPool(nil, nil, false)
 	}
 
-	opts := gia.ExperimentOptions{Seed: *seed, Scale: *scale, PerfReps: *reps, Workers: *workers,
-		NoAnalysisCache: *cache == "off"}
+	opts := gia.ExperimentOptions{Seed: *seed, Scale: *scale, PerfReps: *reps, Workers: *workers}
 	tables, err := gia.AllTables(opts)
 	if err != nil {
 		log.Fatal(err)

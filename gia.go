@@ -259,19 +259,13 @@ type (
 // GenerateCorpus builds a calibrated synthetic corpus.
 func GenerateCorpus(cfg CorpusConfig) *Corpus { return corpus.Generate(cfg) }
 
-// ClassifyInstallers runs the Section IV classifier over a population.
-func ClassifyInstallers(apps []AppMeta) Classification { return measure.ClassifyAll(apps) }
-
-// BuildAPKForMeta materializes ground truth as an APK artifact with
-// synthetic smali carrying the code-level markers.
-func BuildAPKForMeta(meta AppMeta) *APK { return corpus.BuildAPKFor(meta) }
-
-// ExtractedMeta is the scanner's view of one APK artifact.
-type ExtractedMeta = measure.ExtractedMeta
-
-// ExtractAPKMeta runs the Section IV-A scanner (marker search + def-use
-// resolution) over an APK artifact.
-func ExtractAPKMeta(a *APK) ExtractedMeta { return measure.ExtractMeta(a) }
+// ClassifyInstallers runs the Section IV classifier over a population:
+// it builds each app's APK artifact, scans it on the shared cached
+// analysis engine and tallies the verdicts.
+func ClassifyInstallers(apps []AppMeta) Classification {
+	metas, _ := measure.Scan(nil, apps, 0)
+	return measure.Tally(metas)
+}
 
 // Static-analysis engine.
 type (
@@ -293,16 +287,6 @@ func LintRules() []LintRule { return analysis.DefaultRules() }
 // reaching definitions, lint rules — over an APK artifact's embedded code
 // and returns the findings.
 func LintAPK(a *APK) []Finding { return analysis.NewEngine().ScanAPK(a).Findings }
-
-// ScanCorpusArtifacts materializes and scans a population on a parallel
-// worker pool (workers <= 0 selects NumCPU), returning per-app extracted
-// features plus aggregate scan statistics. Analyses are served from a
-// shared content-addressed cache keyed on canonicalized smali, so
-// template-identical apps are analyzed once; the returned stats carry the
-// hit/miss/dedup split. Use measure.ScanArtifactsOpts to opt out.
-func ScanCorpusArtifacts(apps []AppMeta, workers int) ([]ExtractedMeta, ScanStats) {
-	return measure.ScanArtifacts(apps, workers)
-}
 
 // NewTimeline records dev's merged event timeline — filesystem events
 // under dirs, package changes and IntentFirewall alerts — onto a fresh
@@ -422,10 +406,11 @@ func FleetStudyTable(devicesPerStore int, seed int64, workers int) (ExperimentTa
 }
 
 // MeasurementTables regenerates the corpus-based tables (II, III, IV, VI,
-// key study, Hare study).
+// key study, Hare study), scanning each of c's populations once.
 func MeasurementTables(c *Corpus) []ExperimentTable {
+	m := experiment.Measure(nil, c, 0)
 	return []ExperimentTable{
-		experiment.TableII(c), experiment.TableIII(c), experiment.TableIV(c),
+		experiment.TableII(m), experiment.TableIII(m), experiment.TableIV(m),
 		experiment.TableVI(c), experiment.KeyStudy(c), experiment.HareStudy(c),
 	}
 }
@@ -570,8 +555,8 @@ func InstrumentWorkerPool(reg *ObsRegistry, tr *ObsTrace, pprofLabels bool) {
 	par.SetInstrumentation(in)
 }
 
-// ObserveAnalysisCache re-homes the shared analysis engines' telemetry
-// (scan counters plus the analysis memo cache) onto reg, so
-// corpus scans via ScanCorpusArtifacts / ClassifyInstallers surface their
-// cache behaviour. A nil registry is a no-op.
-func ObserveAnalysisCache(reg *ObsRegistry) { measure.ObserveSharedEngines(reg) }
+// ObserveAnalysisCache re-homes the shared analysis engine's telemetry
+// (scan counters plus the analysis memo cache) onto reg, so the corpus
+// scans behind AllTables, MeasurementTables and ClassifyInstallers surface
+// their work and cache behaviour. A nil registry is a no-op.
+func ObserveAnalysisCache(reg *ObsRegistry) { measure.ObserveEngine(reg) }

@@ -1,30 +1,34 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
-	"github.com/ghost-installer/gia/internal/measure"
+	"github.com/ghost-installer/gia/internal/analysis"
 )
 
-// TestCacheTableParity is the -cache=off vs -cache=on gate: every table
-// that scans artifacts must render byte-identically with the analysis
-// cache disabled and enabled, at one worker and at the default pool size.
+// TestCacheTableParity is the cached-vs-uncached gate: every table that
+// reads the scan must render byte-identically from a measurement on the
+// shared cached engine and from one on an uncached reference engine, at
+// one worker and at NumCPU workers.
 func TestCacheTableParity(t *testing.T) {
 	builders := []struct {
 		name string
-		f    func(o measure.ScanOptions) Table
+		f    func(m *Measurement) Table
 	}{
-		{"Table II", func(o measure.ScanOptions) Table { return tableII(smallCorpus, o) }},
-		{"Table III", func(o measure.ScanOptions) Table { return tableIII(smallCorpus, o) }},
-		{"Flow Study", func(o measure.ScanOptions) Table { return flowStudy(smallCorpus, 43, o) }},
-		{"Threat Scores", func(o measure.ScanOptions) Table { return threatScoreTable(smallCorpus, o) }},
+		{"Table II", TableII},
+		{"Table III", TableIII},
+		{"Table IV", TableIV},
+		{"Flow Study", func(m *Measurement) Table { return FlowStudy(m, 43) }},
+		{"Threat Scores", ThreatScoreTable},
 	}
-	for _, b := range builders {
-		for _, workers := range []int{1, 0} {
-			on := b.f(measure.ScanOptions{Workers: workers}).Render()
-			off := b.f(measure.ScanOptions{Workers: workers, NoCache: true}).Render()
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		cached := Measure(nil, smallCorpus, workers)
+		plain := Measure(analysis.NewEngine(), smallCorpus, workers)
+		for _, b := range builders {
+			on, off := b.f(cached).Render(), b.f(plain).Render()
 			if on != off {
-				t.Errorf("%s (workers=%d) diverges between cache modes:\n-- cache on --\n%s\n-- cache off --\n%s",
+				t.Errorf("%s (workers=%d) diverges between engines:\n-- cached --\n%s\n-- uncached --\n%s",
 					b.name, workers, on, off)
 			}
 		}
@@ -34,7 +38,7 @@ func TestCacheTableParity(t *testing.T) {
 // TestFlowStudyRowsAgree pins the study's point: the artifact pipeline's
 // classifier column reproduces the ground-truth tally.
 func TestFlowStudyRowsAgree(t *testing.T) {
-	tab := FlowStudy(smallCorpus, 43)
+	tab := FlowStudy(smallMeasurement(), 43)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("flow study rows = %d, want ground truth + artifact scan", len(tab.Rows))
 	}

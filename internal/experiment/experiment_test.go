@@ -3,6 +3,7 @@ package experiment
 import (
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ghost-installer/gia/internal/attack"
@@ -13,8 +14,12 @@ import (
 
 func installerInternalStores() map[string]bool { return installer.InternalStorageStores() }
 
-// smallCorpus keeps the measurement experiments fast in unit tests.
-var smallCorpus = corpus.Generate(corpus.Config{Seed: 2017, Scale: 0.1})
+// smallCorpus keeps the measurement experiments fast in unit tests;
+// smallMeasurement is its populations scanned once, on first use.
+var (
+	smallCorpus      = corpus.Generate(corpus.Config{Seed: 2017, Scale: 0.1})
+	smallMeasurement = sync.OnceValue(func() *Measurement { return Measure(nil, smallCorpus, 0) })
+)
 
 func TestTableIStatic(t *testing.T) {
 	tab := TableI()
@@ -28,7 +33,7 @@ func TestTableIStatic(t *testing.T) {
 
 func TestMeasurementTablesRender(t *testing.T) {
 	for _, tab := range []Table{
-		TableII(smallCorpus), TableIII(smallCorpus), TableIV(smallCorpus),
+		TableII(smallMeasurement()), TableIII(smallMeasurement()), TableIV(smallMeasurement()),
 		TableVI(smallCorpus), KeyStudy(smallCorpus), HareStudy(smallCorpus),
 	} {
 		if len(tab.Rows) == 0 {
@@ -42,7 +47,7 @@ func TestMeasurementTablesRender(t *testing.T) {
 }
 
 func TestTableIIShapeMatchesPaper(t *testing.T) {
-	tab := TableII(smallCorpus)
+	tab := TableII(smallMeasurement())
 	// 83.7% vulnerable among known installers, at corpus scale 0.1.
 	if !strings.Contains(tab.Rows[0][1], "83.") && !strings.Contains(tab.Rows[0][1], "84.") {
 		t.Errorf("vulnerable cell = %q, want ≈83.7%%", tab.Rows[0][1])

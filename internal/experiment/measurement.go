@@ -29,36 +29,48 @@ func TableI() Table {
 	}
 }
 
-// TableII classifies the top Google Play apps.
-func TableII(c *corpus.Corpus) Table {
-	return tableII(c, measure.ScanOptions{})
+// Measurement is one corpus with each Section IV population scanned once:
+// the Play apps and the unique pre-installed apps, each as the features
+// extracted from its built APK artifacts, plus the Play scan's statistics.
+// Tables II, III and IV, the flow study's artifact row and Threat Scores
+// all read it, so no table builds or scans an artifact of its own.
+type Measurement struct {
+	Corpus *corpus.Corpus
+	// Play is index-aligned with Corpus.PlayApps.
+	Play      []measure.ExtractedMeta
+	PlayStats analysis.ScanStats
+	// Preinstalled is index-aligned with
+	// measure.UniquePreinstalled(Corpus.Images).
+	Preinstalled []measure.ExtractedMeta
 }
 
-// tableII runs the full artifact pipeline — build each APK, scan it with
-// the analysis engine (served from the shared content-addressed cache
-// unless o.NoCache), classify — instead of reading classifications off the
-// ground-truth metadata. TestTableIIMatchesGroundTruth pins that the
-// measured values are unchanged.
-func tableII(c *corpus.Corpus, o measure.ScanOptions) Table {
-	cls := measure.ClassifyArtifactsOpts(c.PlayApps, o)
-	writeExt := measure.WriteExternalCount(c.PlayApps)
+// Measure scans c's two populations, once each, on e (nil selects
+// measure's shared cached engine) with a pool of workers (<= 0 selects
+// NumCPU). The tables rendered from it are identical for any engine and
+// worker count; TestCacheTableParity pins this.
+func Measure(e *analysis.Engine, c *corpus.Corpus, workers int) *Measurement {
+	m := &Measurement{Corpus: c}
+	m.Play, m.PlayStats = measure.Scan(e, c.PlayApps, workers)
+	m.Preinstalled, _ = measure.Scan(e, measure.UniquePreinstalled(c.Images), workers)
+	return m
+}
+
+// TableII classifies the top Google Play apps from their scanned
+// artifacts. TestScanMatchesPlanted pins that the measured values equal
+// the ground-truth tally of the generator's planted metadata.
+func TableII(m *Measurement) Table {
+	cls := measure.Tally(m.Play)
 	return classificationTable("Table II",
 		"Potentially vulnerable Google Play apps due to SD-Card usage", cls,
-		fmt.Sprintf("%d/%d apps request WRITE_EXTERNAL_STORAGE (sufficient for hijack)", writeExt, cls.Total))
+		fmt.Sprintf("%d/%d apps request WRITE_EXTERNAL_STORAGE (sufficient for hijack)", cls.WriteExternal, cls.Total))
 }
 
-// TableIII classifies the unique pre-installed apps.
-func TableIII(c *corpus.Corpus) Table {
-	return tableIII(c, measure.ScanOptions{})
-}
-
-// tableIII is TableIII over the artifact pipeline; see tableII.
-func tableIII(c *corpus.Corpus, o measure.ScanOptions) Table {
-	unique := measure.UniquePreinstalled(c.Images)
-	cls := measure.ClassifyArtifactsOpts(unique, o)
+// TableIII classifies the unique pre-installed apps from their scanned
+// artifacts; see TableII.
+func TableIII(m *Measurement) Table {
 	return classificationTable("Table III",
-		"Potentially vulnerable pre-installed apps due to SD-Card usage", cls,
-		fmt.Sprintf("deduplicated by package name across %d images", len(c.Images)))
+		"Potentially vulnerable pre-installed apps due to SD-Card usage", measure.Tally(m.Preinstalled),
+		fmt.Sprintf("deduplicated by package name across %d images", len(m.Corpus.Images)))
 }
 
 func classificationTable(id, title string, cls measure.Classification, note string) Table {
@@ -81,9 +93,10 @@ func classificationTable(id, title string, cls measure.Classification, note stri
 	}
 }
 
-// TableIV counts hard-coded market URLs/schemes among Play apps.
-func TableIV(c *corpus.Corpus) Table {
-	b := measure.RedirectCensus(c.PlayApps)
+// TableIV counts the hard-coded market URLs/schemes the scan finds among
+// Play apps.
+func TableIV(m *Measurement) Table {
+	b := measure.RedirectCensus(m.Play)
 	return Table{
 		ID:     "Table IV",
 		Title:  "Number of fixed url or redirection scheme",
@@ -145,16 +158,11 @@ func KeyStudy(c *corpus.Corpus) Table {
 
 // FlowStudy reports the Section IV-A tool comparison: Flowdroid-style
 // taint analysis fails on most installers, while the lightweight
-// world-readable classifier decides the majority.
-func FlowStudy(c *corpus.Corpus, sample int) Table {
-	return flowStudy(c, sample, measure.ScanOptions{})
-}
-
-// flowStudy renders two rows: the ground-truth tally (what the paper could
-// reconstruct from Flowdroid's failure logs) and the artifact pipeline,
-// whose classifier verdicts are re-derived by scanning the built APKs
-// through the analysis engine. The rows agreeing is the study's point.
-func flowStudy(c *corpus.Corpus, sample int, o measure.ScanOptions) Table {
+// world-readable classifier decides the majority. It renders two rows:
+// the ground-truth tally (what the paper could reconstruct from
+// Flowdroid's failure logs) and the artifact pipeline, whose classifier
+// verdicts are the Play scan's.
+func FlowStudy(m *Measurement, sample int) Table {
 	flowRow := func(label string, res measure.FlowResult) []string {
 		return []string{
 			label,
@@ -166,13 +174,14 @@ func flowStudy(c *corpus.Corpus, sample int, o measure.ScanOptions) Table {
 			ratio(res.ClassifierDecided, res.Sampled),
 		}
 	}
+	truth, artifact := measure.FlowAnalysisStudy(m.Corpus.PlayApps, m.Play, sample)
 	return Table{
 		ID:     "Flow Study",
 		Title:  "Flow analysis vs the lightweight classifier (Section IV-A)",
 		Header: []string{"Pipeline", "Sampled", "Incomplete CFG", "handleMessage loss", "Analyzer bugs", "Flow-analyzable", "Classifier decided"},
 		Rows: [][]string{
-			flowRow("ground truth", measure.FlowAnalysisStudy(c.PlayApps, sample)),
-			flowRow("artifact scan", measure.FlowAnalysisStudyArtifactsOpts(c.PlayApps, sample, o)),
+			flowRow("ground truth", truth),
+			flowRow("artifact scan", artifact),
 		},
 		Notes: []string{"the paper tested 43 apps; 14% stopped on CFGs, 14% on handleMessage, 42% on Flowdroid bugs"},
 	}
@@ -182,18 +191,14 @@ func flowStudy(c *corpus.Corpus, sample int, o measure.ScanOptions) Table {
 // interprocedural engine assigns to the Play population: a histogram over
 // the five score buckets, the mean/max score, and how many apps carry an
 // anti-repackaging defense (which deducts from the score).
-func ThreatScoreTable(c *corpus.Corpus) Table {
-	return threatScoreTable(c, measure.ScanOptions{})
-}
-
-func threatScoreTable(c *corpus.Corpus, o measure.ScanOptions) Table {
-	metas, stats := measure.ScanArtifactsOpts(c.PlayApps, o)
+func ThreatScoreTable(m *Measurement) Table {
 	defended := 0
-	for _, m := range metas {
-		if m.SelfSigCheck || m.IntegrityCheck {
+	for _, meta := range m.Play {
+		if meta.SelfSigCheck || meta.IntegrityCheck {
 			defended++
 		}
 	}
+	stats := m.PlayStats
 	t := Table{
 		ID:     "Threat Scores",
 		Title:  "Threat-score distribution over the Play population (0-100)",
@@ -208,7 +213,7 @@ func threatScoreTable(c *corpus.Corpus, o measure.ScanOptions) Table {
 	}
 	t.Notes = []string{
 		fmt.Sprintf("mean score %.1f, max %d over %d apps", stats.MeanScore(), stats.ScoreMax, stats.APKs),
-		fmt.Sprintf("%d/%d apps carry a self-signature or integrity check (score deduction)", defended, len(metas)),
+		fmt.Sprintf("%d/%d apps carry a self-signature or integrity check (score deduction)", defended, len(m.Play)),
 	}
 	return t
 }

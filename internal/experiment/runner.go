@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"github.com/ghost-installer/gia/internal/corpus"
-	"github.com/ghost-installer/gia/internal/measure"
 	"github.com/ghost-installer/gia/internal/par"
 )
 
@@ -20,19 +19,14 @@ type Options struct {
 	// study builds private simulators from derived seeds, so the rendered
 	// output is bit-identical for any worker count.
 	Workers int
-	// NoAnalysisCache disables the content-addressed analysis cache that
-	// backs the artifact-scanning tables (II, III, Flow Study); every smali
-	// file is then re-analyzed from scratch. The rendered tables are
-	// identical either way (TestCacheTableParity pins this) — the switch
-	// exists for benchmarking and as a soundness escape hatch.
-	NoAnalysisCache bool
 }
 
 // AllTables regenerates every paper table and figure plus the in-text
-// studies, in presentation order. The tables are independent of each other
-// (they share only the read-only corpus), so they run concurrently on the
-// worker pool; results come back in presentation order and, on failure, the
-// error of the earliest failing table is returned.
+// studies, in presentation order. The corpus is generated and its
+// populations scanned once up front; the tables are otherwise independent
+// of each other (they share only that read-only measurement), so they run
+// concurrently on the worker pool. Results come back in presentation order
+// and, on failure, the error of the earliest failing table is returned.
 func AllTables(opts Options) ([]Table, error) {
 	if opts.Scale <= 0 {
 		opts.Scale = 1.0
@@ -41,14 +35,14 @@ func AllTables(opts Options) ([]Table, error) {
 	if installs <= 0 {
 		installs = 24
 	}
-	// Generated once up front; the table builders only read it.
+	// Generated and scanned once up front; the table builders only read it.
 	c := corpus.Generate(corpus.Config{Seed: opts.Seed, Scale: opts.Scale})
-	scanOpts := measure.ScanOptions{Workers: opts.Workers, NoCache: opts.NoAnalysisCache}
+	m := Measure(nil, c, opts.Workers)
 	jobs := []func() (Table, error){
 		func() (Table, error) { return TableI(), nil },
-		func() (Table, error) { return tableII(c, scanOpts), nil },
-		func() (Table, error) { return tableIII(c, scanOpts), nil },
-		func() (Table, error) { return TableIV(c), nil },
+		func() (Table, error) { return TableII(m), nil },
+		func() (Table, error) { return TableIII(m), nil },
+		func() (Table, error) { return TableIV(m), nil },
 		func() (Table, error) { return TableV(opts.Seed) },
 		func() (Table, error) { return TableVI(c), nil },
 		func() (Table, error) { return TableVII(opts.Seed) },
@@ -62,8 +56,8 @@ func AllTables(opts Options) ([]Table, error) {
 		func() (Table, error) { return KeyStudy(c), nil },
 		func() (Table, error) { return HareStudy(c), nil },
 		func() (Table, error) { return SuggestionTable(opts.Seed, opts.Workers) },
-		func() (Table, error) { return flowStudy(c, 43, scanOpts), nil },
-		func() (Table, error) { return threatScoreTable(c, scanOpts), nil },
+		func() (Table, error) { return FlowStudy(m, 43), nil },
+		func() (Table, error) { return ThreatScoreTable(m), nil },
 		func() (Table, error) { return DAPPTable(opts.Seed, installs, 6) },
 		func() (Table, error) { return FleetTable(5, opts.Seed, opts.Workers) },
 		func() (Table, error) { return ChaosTable(opts.Seed, opts.Workers) },

@@ -5,14 +5,15 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/corpus"
 )
 
 // TestCachedMatchesUncached is the measure-layer cache-parity oracle: the
-// full ScanArtifacts output — per-app extracted features, per-rule hit
-// counts, coverage stats and the resulting classifications — must be
-// identical with the shared analysis cache on and off, at one worker and
-// at NumCPU workers.
+// full Scan output — per-app extracted features, per-rule hit counts,
+// coverage stats and the resulting classifications — must be identical on
+// the shared cached engine and on an uncached reference engine, at one
+// worker and at NumCPU workers.
 func TestCachedMatchesUncached(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Seed: 4242, Scale: 0.05})
 	apps := c.PlayApps
@@ -21,8 +22,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 	workerCounts := []int{1, runtime.NumCPU()}
 	for _, workers := range workerCounts {
-		cachedMetas, cachedStats := ScanArtifactsOpts(apps, ScanOptions{Workers: workers})
-		plainMetas, plainStats := ScanArtifactsOpts(apps, ScanOptions{Workers: workers, NoCache: true})
+		cachedMetas, cachedStats := Scan(nil, apps, workers)
+		plainMetas, plainStats := Scan(analysis.NewEngine(), apps, workers)
 
 		if !reflect.DeepEqual(cachedMetas, plainMetas) {
 			for i := range cachedMetas {
@@ -76,7 +77,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 func TestCacheCollapsesTemplateCorpus(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Seed: 99, Scale: 0.05})
 	apps := c.PlayApps
-	_, stats := ScanArtifactsOpts(apps, ScanOptions{Workers: 1})
+	_, stats := Scan(nil, apps, 1)
 	if stats.Stats.Files < len(apps) {
 		t.Fatalf("scanned %d files for %d apps", stats.Stats.Files, len(apps))
 	}

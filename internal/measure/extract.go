@@ -32,49 +32,52 @@ type ExtractedMeta struct {
 	Score int
 }
 
-// engine is the shared uncached analysis engine with the default GIA rule
-// set. It is immutable and safe for concurrent use.
-var engine = analysis.NewEngine()
+// engine is the shared scan engine: the default GIA rule set behind one
+// content-addressed analysis cache. Template-identical smali collapses to
+// a few dozen distinct canonical analyses, so every population scanned in
+// a process pays for each template once. Its findings are byte-identical
+// to an uncached engine's (TestCachedMatchesUncached pins this). It is
+// safe for concurrent use.
+var engine = analysis.NewEngineWithOptions(analysis.EngineOptions{CacheCapacity: 4096})
 
-// cachedEngine backs the corpus-scale scans with one content-addressed
-// analysis cache shared across every table render: template-identical
-// smali collapses to a few dozen distinct canonical analyses, so Table II,
-// Table III and the flow study pay for the corpus once instead of per
-// render. Its findings are byte-identical to the uncached engine's
-// (TestCachedMatchesUncached pins this).
-var cachedEngine = analysis.NewEngineWithOptions(analysis.EngineOptions{CacheCapacity: 4096})
+// ObserveEngine re-homes the shared engine's telemetry onto reg: the
+// "analysis.scan.*" counters and the "analysis.cache.*" memo layer.
+// Values accumulated before the call carry over; a nil registry is a
+// no-op. Call it before scanning concurrently.
+func ObserveEngine(reg *obs.Registry) { engine.Observe(reg) }
 
-// ObserveSharedEngines re-homes the telemetry of both shared engines onto
-// reg. The two merge onto the same "analysis.scan.*" counters (one
-// process-wide view of scan work regardless of which engine served it);
-// the cached engine additionally contributes the "analysis.cache.*" memo
-// layers. Values accumulated before the call carry over; a nil registry
-// is a no-op. Call it before scanning concurrently.
-func ObserveSharedEngines(reg *obs.Registry) {
-	engine.Observe(reg)
-	cachedEngine.Observe(reg)
-}
-
-// hasWriteExternal reports whether the artifact's manifest requests the
-// permission that suffices for a GIA hijack on shared storage.
-func hasWriteExternal(a *apk.APK) bool {
-	return a.Manifest.Uses("android.permission.WRITE_EXTERNAL_STORAGE")
-}
-
-// ExtractMeta scans an APK's embedded code for the classifier's features.
-// It mirrors the paper's tool — find the install-API marker first, then
-// the world-readable file APIs and /sdcard string constants — but runs on
-// the internal/analysis engine: parsed IR, per-method control-flow graphs
-// and reaching definitions instead of a flattened line scan, so register
-// reassignment, branch joins, dead stores and method boundaries are
-// resolved precisely.
-func ExtractMeta(a *apk.APK) ExtractedMeta {
-	out := ExtractedMeta{
-		Package:           a.Manifest.Package,
-		UsesWriteExternal: hasWriteExternal(a),
+// Scan is the Section IV-A pipeline over a population: it builds each
+// app's APK artifact, scans it with the analysis engine's parsed IR,
+// per-method control-flow graphs and reaching definitions, and folds the
+// findings and the manifest into the classifier's features. It returns
+// the features index-aligned with apps plus the scan's aggregate
+// statistics (per-rule hits, threat scores, coverage, cache outcomes).
+// A nil e scans on the shared cached engine; tests pass
+// analysis.NewEngine() as the uncached reference. workers <= 0 selects
+// NumCPU.
+func Scan(e *analysis.Engine, apps []corpus.AppMeta, workers int) ([]ExtractedMeta, analysis.ScanStats) {
+	if e == nil {
+		e = engine
 	}
-	applyFindings(&out, engine.ScanAPK(a).Findings)
-	return out
+	if workers < 1 {
+		workers = runtime.NumCPU()
+	}
+	artifacts := make([]*apk.APK, len(apps))
+	reports, stats := e.ScanCorpus(len(apps), workers, func(i int) *apk.APK {
+		artifacts[i] = corpus.BuildAPKFor(apps[i])
+		return artifacts[i]
+	})
+	metas := make([]ExtractedMeta, len(apps))
+	for i, rep := range reports {
+		metas[i] = ExtractedMeta{
+			Package: apps[i].Package,
+			// The permission that suffices for a GIA hijack on shared
+			// storage.
+			UsesWriteExternal: artifacts[i].Manifest.Uses("android.permission.WRITE_EXTERNAL_STORAGE"),
+		}
+		applyFindings(&metas[i], rep.Findings)
+	}
+	return metas, stats
 }
 
 // applyFindings folds the engine's rule hits into the classifier features.
@@ -105,7 +108,9 @@ func applyFindings(out *ExtractedMeta, findings []analysis.Finding) {
 	out.Score = analysis.Score(findings)
 }
 
-// ClassifyExtracted applies the classifier rules to extracted features.
+// ClassifyExtracted applies the classifier rules to extracted features:
+// first the install-API marker, then the world-readable file APIs and the
+// /sdcard staging.
 func ClassifyExtracted(m ExtractedMeta) Category {
 	switch {
 	case !m.HasInstallAPI:
@@ -117,123 +122,4 @@ func ClassifyExtracted(m ExtractedMeta) Category {
 	default:
 		return Unknown
 	}
-}
-
-// ScanOptions configure an artifact scan.
-type ScanOptions struct {
-	// Workers sizes the scanner's worker pool; <= 0 selects NumCPU.
-	Workers int
-	// NoCache bypasses the shared content-addressed analysis cache and
-	// re-analyzes every file from scratch (the -cache=off path).
-	NoCache bool
-}
-
-func (o ScanOptions) engine() *analysis.Engine {
-	if o.NoCache {
-		return engine
-	}
-	return cachedEngine
-}
-
-// ScanArtifacts materializes APK artifacts for a population and runs the
-// parallel corpus scanner over them, returning per-app extracted features
-// plus the aggregate scan statistics (per-rule hit counts, throughput,
-// cache counters). Analyses are served from the shared content-addressed
-// cache; use ScanArtifactsOpts to opt out.
-func ScanArtifacts(apps []corpus.AppMeta, workers int) ([]ExtractedMeta, analysis.ScanStats) {
-	return ScanArtifactsOpts(apps, ScanOptions{Workers: workers})
-}
-
-// ScanArtifactsOpts is ScanArtifacts with explicit cache/worker control.
-func ScanArtifactsOpts(apps []corpus.AppMeta, o ScanOptions) ([]ExtractedMeta, analysis.ScanStats) {
-	if o.Workers < 1 {
-		o.Workers = runtime.NumCPU()
-	}
-	artifacts := make([]*apk.APK, len(apps))
-	reports, stats := o.engine().ScanCorpus(len(apps), o.Workers, func(i int) *apk.APK {
-		artifacts[i] = corpus.BuildAPKFor(apps[i])
-		return artifacts[i]
-	})
-	metas := make([]ExtractedMeta, len(apps))
-	for i, rep := range reports {
-		metas[i] = ExtractedMeta{
-			Package:           apps[i].Package,
-			UsesWriteExternal: hasWriteExternal(artifacts[i]),
-		}
-		applyFindings(&metas[i], rep.Findings)
-	}
-	return metas, stats
-}
-
-// ClassifyArtifacts runs the full pipeline — build the APK artifact from
-// ground truth, extract features from its code with the analysis engine,
-// classify — over a population, fanned out over the parallel scanner.
-func ClassifyArtifacts(apps []corpus.AppMeta) Classification {
-	return ClassifyArtifactsOpts(apps, ScanOptions{})
-}
-
-// ClassifyArtifactsOpts is ClassifyArtifacts with explicit cache/worker
-// control; the classification is identical for any options.
-func ClassifyArtifactsOpts(apps []corpus.AppMeta, o ScanOptions) Classification {
-	metas, _ := ScanArtifactsOpts(apps, o)
-	var c Classification
-	c.Total = len(apps)
-	for _, m := range metas {
-		switch ClassifyExtracted(m) {
-		case NotInstaller:
-			continue
-		case PotentiallyVulnerable:
-			c.Vulnerable++
-		case PotentiallySecure:
-			c.Secure++
-		case Unknown:
-			c.Unknown++
-		}
-		c.Installers++
-	}
-	return c
-}
-
-// FlowAnalysisStudyArtifacts replays FlowAnalysisStudy over real artifacts:
-// the sample's analysis blockers come from ground truth (the paper could
-// only tally Flowdroid's failures post mortem), but the lightweight
-// classifier's verdicts are re-derived from the artifacts through the
-// analysis engine instead of read off the metadata.
-func FlowAnalysisStudyArtifacts(apps []corpus.AppMeta, sample int) FlowResult {
-	return FlowAnalysisStudyArtifactsOpts(apps, sample, ScanOptions{})
-}
-
-// FlowAnalysisStudyArtifactsOpts is FlowAnalysisStudyArtifacts with
-// explicit cache/worker control.
-func FlowAnalysisStudyArtifactsOpts(apps []corpus.AppMeta, sample int, o ScanOptions) FlowResult {
-	var sampled []corpus.AppMeta
-	var res FlowResult
-	for _, app := range apps {
-		if !app.HasInstallAPI {
-			continue
-		}
-		if len(sampled) >= sample {
-			break
-		}
-		sampled = append(sampled, app)
-		res.Sampled++
-		switch app.Blocker {
-		case corpus.BlockerIncompleteCFG:
-			res.IncompleteCFG++
-		case corpus.BlockerHandlerIndirection:
-			res.HandlerIndirection++
-		case corpus.BlockerAnalyzerBug:
-			res.AnalyzerBugs++
-		default:
-			res.FlowAnalyzable++
-		}
-	}
-	metas, _ := ScanArtifactsOpts(sampled, o)
-	for _, m := range metas {
-		switch ClassifyExtracted(m) {
-		case PotentiallyVulnerable, PotentiallySecure:
-			res.ClassifierDecided++
-		}
-	}
-	return res
 }

@@ -17,9 +17,15 @@ func metaFor(storage corpus.StorageUse, installAPI bool, links int) corpus.AppMe
 	}
 }
 
+// scanOne runs the artifact pipeline over a one-app population.
+func scanOne(meta corpus.AppMeta) ExtractedMeta {
+	metas, _ := Scan(nil, []corpus.AppMeta{meta}, 1)
+	return metas[0]
+}
+
 func TestExtractMetaSDCardInstaller(t *testing.T) {
 	meta := metaFor(corpus.StorageSDCard, true, 0)
-	got := ExtractMeta(corpus.BuildAPKFor(meta))
+	got := scanOne(meta)
 	if !got.HasInstallAPI || !got.UsesSDCard || got.SetsWorldReadable {
 		t.Errorf("extracted = %+v", got)
 	}
@@ -35,7 +41,7 @@ func TestExtractMetaInternalInstallerNeedsDefUse(t *testing.T) {
 	// The world-readable mode reaches openFileOutput through a register:
 	// only the def-use resolution finds it.
 	meta := metaFor(corpus.StorageInternalWorldReadable, true, 0)
-	got := ExtractMeta(corpus.BuildAPKFor(meta))
+	got := scanOne(meta)
 	if !got.HasInstallAPI || got.UsesSDCard || !got.SetsWorldReadable {
 		t.Errorf("extracted = %+v", got)
 	}
@@ -46,7 +52,7 @@ func TestExtractMetaInternalInstallerNeedsDefUse(t *testing.T) {
 
 func TestExtractMetaObfuscatedInstallerIsUnknown(t *testing.T) {
 	meta := metaFor(corpus.StorageUnclear, true, 0)
-	got := ExtractMeta(corpus.BuildAPKFor(meta))
+	got := scanOne(meta)
 	if !got.HasInstallAPI {
 		t.Error("install API marker missed")
 	}
@@ -60,7 +66,7 @@ func TestExtractMetaObfuscatedInstallerIsUnknown(t *testing.T) {
 
 func TestExtractMetaNonInstaller(t *testing.T) {
 	meta := metaFor(corpus.StorageNone, false, 3)
-	got := ExtractMeta(corpus.BuildAPKFor(meta))
+	got := scanOne(meta)
 	if got.HasInstallAPI {
 		t.Error("phantom install API")
 	}
@@ -83,7 +89,7 @@ func TestPropertyArtifactRoundTrip(t *testing.T) {
 	f := func(storageIdx, links uint8) bool {
 		storage := storages[int(storageIdx)%len(storages)]
 		meta := metaFor(storage, storage != corpus.StorageNone, int(links)%20)
-		got := ExtractMeta(corpus.BuildAPKFor(meta))
+		got := scanOne(meta)
 		if ClassifyExtracted(got) != Classify(meta) {
 			return false
 		}
@@ -124,7 +130,7 @@ func TestRegisterOverwriteRegression(t *testing.T) {
 	if lastWrite != "MODE_WORLD_READABLE" {
 		t.Fatalf("fixture lost its teeth: textual last write = %q, want MODE_WORLD_READABLE", lastWrite)
 	}
-	got := ExtractMeta(artifact)
+	got := scanOne(meta)
 	if got.SetsWorldReadable {
 		t.Error("dead world-readable store flagged: the def-use chain regressed to last-write-wins")
 	}
@@ -134,15 +140,15 @@ func TestRegisterOverwriteRegression(t *testing.T) {
 }
 
 func TestExtractMetaReflectionBlocker(t *testing.T) {
-	if got := ExtractMeta(corpus.BuildAPKFor(metaFor(corpus.StorageUnclear, true, 0))); !got.ReflectionObfuscated {
+	if got := scanOne(metaFor(corpus.StorageUnclear, true, 0)); !got.ReflectionObfuscated {
 		t.Error("reflection obfuscation not detected on the unclear installer")
 	}
-	if got := ExtractMeta(corpus.BuildAPKFor(metaFor(corpus.StorageSDCard, true, 0))); got.ReflectionObfuscated {
+	if got := scanOne(metaFor(corpus.StorageSDCard, true, 0)); got.ReflectionObfuscated {
 		t.Error("phantom reflection blocker on a plain SD-card installer")
 	}
 }
 
-// TestScanArtifactsStats checks the parallel scanner's aggregate: per-rule
+// TestScanArtifactsStats checks the parallel scan's aggregate: per-rule
 // hit counts consistent with ground truth and non-trivial coverage stats.
 func TestScanArtifactsStats(t *testing.T) {
 	apps := []corpus.AppMeta{
@@ -151,7 +157,7 @@ func TestScanArtifactsStats(t *testing.T) {
 		metaFor(corpus.StorageUnclear, true, 0),
 		metaFor(corpus.StorageNone, false, 4),
 	}
-	metas, stats := ScanArtifacts(apps, 2)
+	metas, stats := Scan(nil, apps, 2)
 	if len(metas) != len(apps) {
 		t.Fatalf("metas = %d", len(metas))
 	}
@@ -170,29 +176,28 @@ func TestScanArtifactsStats(t *testing.T) {
 	}
 }
 
-// TestFlowAnalysisStudyArtifactsAgrees replays the flow study through the
-// artifact pipeline and checks it agrees with the metadata-driven version.
-func TestFlowAnalysisStudyArtifactsAgrees(t *testing.T) {
-	small := corpus.Generate(corpus.Config{Seed: 11, Scale: 0.02})
-	want := FlowAnalysisStudy(small.PlayApps, 43)
-	got := FlowAnalysisStudyArtifacts(small.PlayApps, 43)
-	if got != want {
-		t.Errorf("artifacts study = %+v, metadata study = %+v", got, want)
-	}
-}
-
-// TestPipelineReproducesTableIIOnSample runs the full artifact pipeline
-// over a corpus slice and checks it agrees with ground-truth
-// classification app by app.
-func TestPipelineReproducesTableIIOnSample(t *testing.T) {
-	small := corpus.Generate(corpus.Config{Seed: 77, Scale: 0.05})
-	sample := small.PlayApps
-	if len(sample) > 400 {
-		sample = sample[:400]
-	}
-	want := ClassifyAll(sample)
-	got := ClassifyArtifacts(sample)
-	if got != want {
-		t.Errorf("pipeline = %+v, ground truth = %+v", got, want)
+// TestScanMatchesPlanted is the oracle for every table the scan feeds:
+// on two seeds, the artifact-derived Table II (with its WRITE_EXTERNAL
+// count), Table III, the Table IV buckets and the flow study's artifact
+// row equal the ground-truth tallies of the generator's planted fields.
+func TestScanMatchesPlanted(t *testing.T) {
+	for _, seed := range []int64{2017, 7} {
+		c := corpus.Generate(corpus.Config{Seed: seed, Scale: 0.02})
+		play, _ := Scan(nil, c.PlayApps, 0)
+		if got, want := Tally(play), truthTally(c.PlayApps); got != want {
+			t.Errorf("seed %d Table II: scanned %+v, planted %+v", seed, got, want)
+		}
+		unique := UniquePreinstalled(c.Images)
+		pre, _ := Scan(nil, unique, 0)
+		if got, want := Tally(pre), truthTally(unique); got != want {
+			t.Errorf("seed %d Table III: scanned %+v, planted %+v", seed, got, want)
+		}
+		if got, want := RedirectCensus(play), RedirectCensus(planted(c.PlayApps)); got != want {
+			t.Errorf("seed %d Table IV: scanned %+v, planted %+v", seed, got, want)
+		}
+		truth, artifact := FlowAnalysisStudy(c.PlayApps, play, 43)
+		if truth.Sampled == 0 || artifact != truth {
+			t.Errorf("seed %d flow study: artifact row %+v, ground-truth row %+v", seed, artifact, truth)
+		}
 	}
 }

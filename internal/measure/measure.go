@@ -1,9 +1,10 @@
 // Package measure reimplements the Section IV measurement tooling: the
-// lightweight installer classifier (built on the world-readable
-// observation after the Flowdroid-based attempt failed), the
-// INSTALL_PACKAGES census, the platform-key usage study, the Hare
-// (hanging-permission) cross-image search and the market-redirection
-// census.
+// artifact scan behind the lightweight installer classifier (built on the
+// world-readable observation after the Flowdroid-based attempt failed),
+// its tally and the market-redirection census over the scanned features,
+// the flow-analysis comparison, and the INSTALL_PACKAGES census, the
+// platform-key usage study and the Hare (hanging-permission) cross-image
+// search, which read the generator's planted metadata.
 package measure
 
 import (
@@ -46,8 +47,11 @@ func (c Category) String() string {
 	}
 }
 
-// Classify is the paper's tool: first find installation API calls, then
-// look for the world-readable marker and /sdcard operations.
+// decided reports whether the verdict pins the storage behaviour down.
+func (c Category) decided() bool { return c == PotentiallyVulnerable || c == PotentiallySecure }
+
+// Classify is the classifier's verdict on an app's planted ground truth:
+// the flow study's ground-truth row and the tests' oracle for the scan.
 func Classify(app corpus.AppMeta) Category {
 	if !app.HasInstallAPI {
 		return NotInstaller
@@ -64,19 +68,22 @@ func Classify(app corpus.AppMeta) Category {
 
 // Classification aggregates verdicts over a population (Tables II and III).
 type Classification struct {
-	Total      int // population size
-	Installers int // apps with installation API calls
-	Vulnerable int
-	Secure     int
-	Unknown    int
+	Total         int // population size
+	Installers    int // apps with installation API calls
+	Vulnerable    int
+	Secure        int
+	Unknown       int
+	WriteExternal int // apps requesting WRITE_EXTERNAL_STORAGE
 }
 
-// ClassifyAll runs the classifier over a population.
-func ClassifyAll(apps []corpus.AppMeta) Classification {
-	var c Classification
-	c.Total = len(apps)
-	for _, app := range apps {
-		switch Classify(app) {
+// Tally counts a scanned population's classifier verdicts.
+func Tally(metas []ExtractedMeta) Classification {
+	c := Classification{Total: len(metas)}
+	for _, m := range metas {
+		if m.UsesWriteExternal {
+			c.WriteExternal++
+		}
+		switch ClassifyExtracted(m) {
 		case NotInstaller:
 			continue
 		case PotentiallyVulnerable:
@@ -149,17 +156,6 @@ func UniquePreinstalled(images []corpus.FactoryImage) []corpus.AppMeta {
 	return out
 }
 
-// WriteExternalCount counts apps requesting WRITE_EXTERNAL_STORAGE.
-func WriteExternalCount(apps []corpus.AppMeta) int {
-	n := 0
-	for _, app := range apps {
-		if app.UsesWriteExternal {
-			n++
-		}
-	}
-	return n
-}
-
 // VendorInstallCensus is one Table VI row.
 type VendorInstallCensus struct {
 	Vendor          string
@@ -226,12 +222,11 @@ type RedirectBuckets struct {
 	AtMost8     int
 }
 
-// RedirectCensus scans a population's hard-coded market links.
-func RedirectCensus(apps []corpus.AppMeta) RedirectBuckets {
-	var b RedirectBuckets
-	b.Total = len(apps)
-	for _, app := range apps {
-		n := app.MarketLinks
+// RedirectCensus buckets a scanned population's hard-coded market links.
+func RedirectCensus(metas []ExtractedMeta) RedirectBuckets {
+	b := RedirectBuckets{Total: len(metas)}
+	for _, m := range metas {
+		n := m.MarketLinks
 		if n == 0 {
 			continue
 		}
@@ -335,35 +330,44 @@ func (r FlowResult) FlowFailureRate() float64 {
 }
 
 // FlowAnalysisStudy replays the paper's attempt to use information-flow
-// analysis to find SD-card installers: sample installer-capable apps (the
-// paper tested 43) and tally the failure modes, then run the lightweight
-// classifier on the same sample for comparison.
-func FlowAnalysisStudy(apps []corpus.AppMeta, sample int) FlowResult {
-	var res FlowResult
-	for _, app := range apps {
+// analysis to find SD-card installers: it samples the first sample
+// installer-capable apps (the paper tested 43) and tallies the failure
+// modes, then the lightweight classifier's verdicts on the same sample.
+// The failure modes come from ground truth in both rows (the paper could
+// only tally Flowdroid's failures post mortem). The truth row classifies
+// the planted metadata; the artifact row classifies scanned, the
+// population's extracted features index-aligned with apps. The rows
+// agreeing is the study's point.
+func FlowAnalysisStudy(apps []corpus.AppMeta, scanned []ExtractedMeta, sample int) (truth, artifact FlowResult) {
+	decided := 0
+	for i, app := range apps {
 		if !app.HasInstallAPI {
 			continue
 		}
-		if res.Sampled >= sample {
+		if truth.Sampled >= sample {
 			break
 		}
-		res.Sampled++
+		truth.Sampled++
 		switch app.Blocker {
 		case corpus.BlockerIncompleteCFG:
-			res.IncompleteCFG++
+			truth.IncompleteCFG++
 		case corpus.BlockerHandlerIndirection:
-			res.HandlerIndirection++
+			truth.HandlerIndirection++
 		case corpus.BlockerAnalyzerBug:
-			res.AnalyzerBugs++
+			truth.AnalyzerBugs++
 		default:
-			res.FlowAnalyzable++
+			truth.FlowAnalyzable++
 		}
-		switch Classify(app) {
-		case PotentiallyVulnerable, PotentiallySecure:
-			res.ClassifierDecided++
+		if Classify(app).decided() {
+			truth.ClassifierDecided++
+		}
+		if ClassifyExtracted(scanned[i]).decided() {
+			decided++
 		}
 	}
-	return res
+	artifact = truth
+	artifact.ClassifierDecided = decided
+	return truth, artifact
 }
 
 // HareResult summarizes the hanging-permission study.

@@ -10,6 +10,46 @@ import (
 // fullCorpus is generated once: scale 1.0 reproduces the paper populations.
 var fullCorpus = corpus.Generate(corpus.Config{Seed: 2017, Scale: 1.0})
 
+// truthTally is the ground-truth oracle for Tally: the classifier's
+// verdicts on the generator's planted metadata.
+func truthTally(apps []corpus.AppMeta) Classification {
+	c := Classification{Total: len(apps)}
+	for _, app := range apps {
+		if app.UsesWriteExternal {
+			c.WriteExternal++
+		}
+		switch Classify(app) {
+		case NotInstaller:
+			continue
+		case PotentiallyVulnerable:
+			c.Vulnerable++
+		case PotentiallySecure:
+			c.Secure++
+		case Unknown:
+			c.Unknown++
+		}
+		c.Installers++
+	}
+	return c
+}
+
+// planted is what a perfect scanner extracts from each app's artifact:
+// the generator's planted fields as features.
+func planted(apps []corpus.AppMeta) []ExtractedMeta {
+	out := make([]ExtractedMeta, len(apps))
+	for i, app := range apps {
+		out[i] = ExtractedMeta{
+			Package:           app.Package,
+			HasInstallAPI:     app.HasInstallAPI,
+			UsesSDCard:        app.Storage == corpus.StorageSDCard,
+			SetsWorldReadable: app.Storage == corpus.StorageInternalWorldReadable,
+			MarketLinks:       app.MarketLinks,
+			UsesWriteExternal: app.UsesWriteExternal,
+		}
+	}
+	return out
+}
+
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if math.Abs(got-want) > tol {
@@ -35,8 +75,10 @@ func TestClassifierVerdicts(t *testing.T) {
 	}
 }
 
+// The shape tests calibrate the generator at paper scale on its planted
+// fields; TestScanMatchesPlanted carries them over to the scanned tables.
 func TestTableIIShape(t *testing.T) {
-	c := ClassifyAll(fullCorpus.PlayApps)
+	c := truthTally(fullCorpus.PlayApps)
 	if c.Total != 12750 {
 		t.Fatalf("play apps = %d", c.Total)
 	}
@@ -54,7 +96,7 @@ func TestTableIIShape(t *testing.T) {
 
 func TestTableIIIShape(t *testing.T) {
 	unique := UniquePreinstalled(fullCorpus.Images)
-	c := ClassifyAll(unique)
+	c := truthTally(unique)
 	if c.Installers == 0 {
 		t.Fatal("no pre-installed installers")
 	}
@@ -66,14 +108,14 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestWriteExternalPrevalence(t *testing.T) {
-	n := WriteExternalCount(fullCorpus.PlayApps)
+	n := truthTally(fullCorpus.PlayApps).WriteExternal
 	if n != 8721 {
 		t.Errorf("play WRITE_EXTERNAL_STORAGE = %d, want 8721", n)
 	}
 }
 
 func TestTableIVShape(t *testing.T) {
-	b := RedirectCensus(fullCorpus.PlayApps)
+	b := RedirectCensus(planted(fullCorpus.PlayApps))
 	within(t, "redirecting frac", float64(b.Redirecting)/float64(b.Total), 0.847, 0.01)
 	within(t, "exactly 1", float64(b.Exactly1)/float64(b.Total), 0.057, 0.006)
 	within(t, "<=2", float64(b.AtMost2)/float64(b.Total), 0.110, 0.008)
@@ -146,7 +188,7 @@ func TestHareStudyShape(t *testing.T) {
 }
 
 func TestFlowAnalysisStudyShape(t *testing.T) {
-	res := FlowAnalysisStudy(fullCorpus.PlayApps, 43)
+	res, _ := FlowAnalysisStudy(fullCorpus.PlayApps, planted(fullCorpus.PlayApps), 43)
 	if res.Sampled != 43 {
 		t.Fatalf("sampled = %d", res.Sampled)
 	}
@@ -161,18 +203,18 @@ func TestFlowAnalysisStudyShape(t *testing.T) {
 			res.ClassifierDecided, res.FlowAnalyzable)
 	}
 	// Over the whole population the rates tighten to the marginals.
-	whole := FlowAnalysisStudy(fullCorpus.PlayApps, 1<<30)
+	whole, _ := FlowAnalysisStudy(fullCorpus.PlayApps, planted(fullCorpus.PlayApps), 1<<30)
 	within(t, "population failure rate", whole.FlowFailureRate(), 0.70, 0.03)
 }
 
 func TestScaledCorpusKeepsProportions(t *testing.T) {
 	small := corpus.Generate(corpus.Config{Seed: 5, Scale: 0.1})
-	c := ClassifyAll(small.PlayApps)
+	c := truthTally(small.PlayApps)
 	if c.Total == 0 || c.Installers == 0 {
 		t.Fatalf("scaled corpus empty: %+v", c)
 	}
 	within(t, "scaled vulnerable frac", c.VulnerableFracKnown(), 0.837, 0.02)
-	b := RedirectCensus(small.PlayApps)
+	b := RedirectCensus(planted(small.PlayApps))
 	within(t, "scaled redirect frac", float64(b.Redirecting)/float64(b.Total), 0.847, 0.03)
 }
 

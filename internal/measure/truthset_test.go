@@ -16,9 +16,10 @@ func TestTruthSetAccuracy(t *testing.T) {
 	if len(cases) < 8 {
 		t.Fatalf("truth set shrank to %d cases", len(cases))
 	}
+	eng := analysis.NewEngine()
 	correct := 0
 	for _, tc := range cases {
-		rep := engine.ScanAPK(corpus.BuildAPKFor(tc.Meta))
+		rep := eng.ScanAPK(corpus.BuildAPKFor(tc.Meta))
 		fired := map[string]bool{}
 		for _, f := range rep.Findings {
 			fired[f.RuleID] = true
