@@ -18,15 +18,15 @@
 //     is nondeterministic by construction (collect the keys, sort,
 //     then emit).
 //
-// It also flags process-global mutable maps: a package-level var in a non-test file whose type is a
-// map, or a struct with a map field, and that has no initializer. Such a
-// map is shared by every device and worker in the process and grows until
-// its owner evicts; a fixture built once and passed as a value needs
-// neither. Composite-literal lookup tables have an initializer and pass.
-// A lock-free memo is as global as a map, so a package-level var of type
-// sync/atomic Pointer[T] or Value with no initializer is flagged too. A
-// global that earns its place carries a `//gia:global — why` comment on
-// the line of its name.
+// It also flags process-global mutable maps: a package-level var in a
+// non-test file whose type is a map, or a struct with a map field, and
+// that has no initializer. Such a map is shared by every device and
+// worker in the process and grows until its owner evicts; a fixture built
+// once and passed as a value needs neither. Composite-literal lookup
+// tables have an initializer and pass. A lock-free memo is as global as a
+// map, so a package-level var of type sync/atomic Pointer[T] or Value
+// with no initializer is flagged too. A global that earns its place
+// carries a `//gia:global — why` comment on the line of its name.
 //
 // Usage:
 //

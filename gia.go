@@ -273,9 +273,6 @@ type (
 	Finding = analysis.Finding
 	// LintRule is one pluggable GIA detector.
 	LintRule = analysis.Rule
-	// ScanStats aggregates a corpus scan: per-rule hit counts, coverage
-	// and throughput.
-	ScanStats = analysis.ScanStats
 )
 
 // LintRules returns the default GIA rule set (sdcard staging,

@@ -62,19 +62,16 @@ func Scan(e *analysis.Engine, apps []corpus.AppMeta, workers int) ([]ExtractedMe
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	artifacts := make([]*apk.APK, len(apps))
+	writeExt := make([]bool, len(apps))
 	reports, stats := e.ScanCorpus(len(apps), workers, func(i int) *apk.APK {
-		artifacts[i] = corpus.BuildAPKFor(apps[i])
-		return artifacts[i]
+		a := corpus.BuildAPKFor(apps[i])
+		// The permission that suffices for a GIA hijack on shared storage.
+		writeExt[i] = a.Manifest.Uses("android.permission.WRITE_EXTERNAL_STORAGE")
+		return a
 	})
 	metas := make([]ExtractedMeta, len(apps))
 	for i, rep := range reports {
-		metas[i] = ExtractedMeta{
-			Package: apps[i].Package,
-			// The permission that suffices for a GIA hijack on shared
-			// storage.
-			UsesWriteExternal: artifacts[i].Manifest.Uses("android.permission.WRITE_EXTERNAL_STORAGE"),
-		}
+		metas[i] = ExtractedMeta{Package: apps[i].Package, UsesWriteExternal: writeExt[i]}
 		applyFindings(&metas[i], rep.Findings)
 	}
 	return metas, stats

@@ -148,7 +148,7 @@ func TestExtractMetaReflectionBlocker(t *testing.T) {
 	}
 }
 
-// TestScanArtifactsStats checks the parallel scan's aggregate: per-rule
+// TestScanArtifactsStats checks the parallel scanner's aggregate: per-rule
 // hit counts consistent with ground truth and non-trivial coverage stats.
 func TestScanArtifactsStats(t *testing.T) {
 	apps := []corpus.AppMeta{
