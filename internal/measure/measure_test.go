@@ -10,31 +10,9 @@ import (
 // fullCorpus is generated once: scale 1.0 reproduces the paper populations.
 var fullCorpus = corpus.Generate(corpus.Config{Seed: 2017, Scale: 1.0})
 
-// truthTally is the ground-truth oracle for Tally: the classifier's
-// verdicts on the generator's planted metadata.
-func truthTally(apps []corpus.AppMeta) Classification {
-	c := Classification{Total: len(apps)}
-	for _, app := range apps {
-		if app.UsesWriteExternal {
-			c.WriteExternal++
-		}
-		switch Classify(app) {
-		case NotInstaller:
-			continue
-		case PotentiallyVulnerable:
-			c.Vulnerable++
-		case PotentiallySecure:
-			c.Secure++
-		case Unknown:
-			c.Unknown++
-		}
-		c.Installers++
-	}
-	return c
-}
-
 // planted is what a perfect scanner extracts from each app's artifact:
-// the generator's planted fields as features.
+// the generator's planted fields as features. Tallied, it is the ground
+// truth the scanned tables are checked against.
 func planted(apps []corpus.AppMeta) []ExtractedMeta {
 	out := make([]ExtractedMeta, len(apps))
 	for i, app := range apps {
@@ -78,7 +56,7 @@ func TestClassifierVerdicts(t *testing.T) {
 // The shape tests calibrate the generator at paper scale on its planted
 // fields; TestScanMatchesPlanted carries them over to the scanned tables.
 func TestTableIIShape(t *testing.T) {
-	c := truthTally(fullCorpus.PlayApps)
+	c := Tally(planted(fullCorpus.PlayApps))
 	if c.Total != 12750 {
 		t.Fatalf("play apps = %d", c.Total)
 	}
@@ -96,7 +74,7 @@ func TestTableIIShape(t *testing.T) {
 
 func TestTableIIIShape(t *testing.T) {
 	unique := UniquePreinstalled(fullCorpus.Images)
-	c := truthTally(unique)
+	c := Tally(planted(unique))
 	if c.Installers == 0 {
 		t.Fatal("no pre-installed installers")
 	}
@@ -108,7 +86,7 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestWriteExternalPrevalence(t *testing.T) {
-	n := truthTally(fullCorpus.PlayApps).WriteExternal
+	n := Tally(planted(fullCorpus.PlayApps)).WriteExternal
 	if n != 8721 {
 		t.Errorf("play WRITE_EXTERNAL_STORAGE = %d, want 8721", n)
 	}
@@ -209,7 +187,7 @@ func TestFlowAnalysisStudyShape(t *testing.T) {
 
 func TestScaledCorpusKeepsProportions(t *testing.T) {
 	small := corpus.Generate(corpus.Config{Seed: 5, Scale: 0.1})
-	c := truthTally(small.PlayApps)
+	c := Tally(planted(small.PlayApps))
 	if c.Total == 0 || c.Installers == 0 {
 		t.Fatalf("scaled corpus empty: %+v", c)
 	}
