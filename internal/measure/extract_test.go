@@ -176,6 +176,37 @@ func TestScanArtifactsStats(t *testing.T) {
 	}
 }
 
+// TestFlowAnalysisStudyArtifactsAgrees replays the flow study through the
+// artifact pipeline and checks it agrees with the metadata-driven row.
+func TestFlowAnalysisStudyArtifactsAgrees(t *testing.T) {
+	small := corpus.Generate(corpus.Config{Seed: 11, Scale: 0.02})
+	scanned, _ := Scan(nil, small.PlayApps, 0)
+	truth, artifact := FlowAnalysisStudy(small.PlayApps, scanned, 43)
+	if truth.Sampled == 0 || artifact != truth {
+		t.Errorf("artifacts study = %+v, metadata study = %+v", artifact, truth)
+	}
+}
+
+// TestPipelineReproducesTableIIOnSample runs the full artifact pipeline
+// over a corpus slice and checks it agrees with ground-truth
+// classification app by app.
+func TestPipelineReproducesTableIIOnSample(t *testing.T) {
+	small := corpus.Generate(corpus.Config{Seed: 77, Scale: 0.05})
+	sample := small.PlayApps
+	if len(sample) > 400 {
+		sample = sample[:400]
+	}
+	scanned, _ := Scan(nil, sample, 0)
+	for i, app := range sample {
+		if got, want := ClassifyExtracted(scanned[i]), Classify(app); got != want {
+			t.Errorf("%s: pipeline = %v, ground truth = %v", app.Package, got, want)
+		}
+	}
+	if got, want := Tally(scanned), Tally(planted(sample)); got != want {
+		t.Errorf("pipeline = %+v, ground truth = %+v", got, want)
+	}
+}
+
 // TestScanMatchesPlanted is the oracle for every table the scan feeds:
 // on two seeds, the artifact-derived Table II (with its WRITE_EXTERNAL
 // count), Table III, the Table IV buckets and the flow study's artifact
