@@ -439,9 +439,9 @@ func BenchmarkScanArtifactsCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := analysis.NewEngineWithOptions(analysis.EngineOptions{CacheCapacity: 4096})
-		stats := scanArtifactsWith(b, eng, runtime.NumCPU())
-		if stats.CacheMisses == 0 {
-			b.Fatalf("cold scan had no misses: %+v", stats)
+		scanArtifactsWith(b, eng, runtime.NumCPU())
+		if cs, _ := eng.CacheStats(); cs.Misses == 0 {
+			b.Fatalf("cold scan had no misses: %+v", cs)
 		}
 	}
 }
@@ -454,9 +454,10 @@ func BenchmarkScanArtifactsWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		before, _ := eng.CacheStats()
 		stats := scanArtifactsWith(b, eng, runtime.NumCPU())
-		if stats.CacheHits != stats.Stats.Files {
-			b.Fatalf("warm scan not fully cached: %+v", stats)
+		if cs, _ := eng.CacheStats(); cs.Hits-before.Hits != int64(stats.Stats.Files) {
+			b.Fatalf("warm scan not fully cached: %d hits for %d files", cs.Hits-before.Hits, stats.Stats.Files)
 		}
 	}
 }

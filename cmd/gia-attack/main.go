@@ -3,8 +3,12 @@
 //
 // Usage:
 //
-//	gia-attack [-store amazon|amazon-v2|xiaomi|baidu|qihoo360|dtignite|slideme|tencent|huawei|sprintzone|play]
-//	           [-strategy file-observer|wait-and-see] [-defense none|fuse|dapp] [-seed N]
+//	gia-attack [-store NAME] [-strategy file-observer|wait-and-see]
+//	           [-defense none|fuse|dapp] [-seed N] [-timeline]
+//
+// NAME is one of the store profiles: amazon, amazon-v2, apkpure, baidu,
+// dtignite, galaxy-apps, googleplay, huawei, qihoo360, slideme,
+// sprintzone, tencent or xiaomi.
 package main
 
 import (
@@ -12,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"github.com/ghost-installer/gia"
 )
@@ -29,48 +32,14 @@ func main() {
 	}
 }
 
-func profileByName(name string) (gia.InstallerProfile, bool) {
-	switch strings.ToLower(name) {
-	case "amazon":
-		return gia.AmazonProfile(), true
-	case "amazon-v2":
-		return gia.AmazonV2Profile(), true
-	case "xiaomi":
-		return gia.XiaomiProfile(), true
-	case "baidu":
-		return gia.BaiduProfile(), true
-	case "qihoo360":
-		return gia.Qihoo360Profile(), true
-	case "dtignite":
-		return gia.DTIgniteProfile(), true
-	case "slideme":
-		return gia.SlideMeProfile(), true
-	case "tencent":
-		return gia.TencentProfile(), true
-	case "huawei":
-		return gia.HuaweiStoreProfile(), true
-	case "sprintzone":
-		return gia.SprintZoneProfile(), true
-	case "play":
-		return gia.GooglePlayProfile(), true
-	default:
-		return gia.InstallerProfile{}, false
-	}
-}
-
 func run(storeName, strategyName, defenseName string, seed int64, showTimeline bool) error {
-	prof, ok := profileByName(storeName)
-	if !ok {
-		return fmt.Errorf("unknown store %q", storeName)
+	prof, err := gia.StoreProfile(storeName)
+	if err != nil {
+		return err
 	}
-	var strat gia.AttackStrategy
-	switch strategyName {
-	case "file-observer":
-		strat = gia.StrategyFileObserver
-	case "wait-and-see":
-		strat = gia.StrategyWaitAndSee
-	default:
-		return fmt.Errorf("unknown strategy %q", strategyName)
+	strat, err := gia.ParseAttackStrategy(strategyName)
+	if err != nil {
+		return err
 	}
 
 	scenario, err := gia.NewScenario(prof, seed)

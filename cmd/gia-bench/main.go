@@ -22,9 +22,9 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 
 	"github.com/ghost-installer/gia"
+	"github.com/ghost-installer/gia/cmd/internal/cli"
 )
 
 func main() {
@@ -40,21 +40,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	stopProfiles := cli.Profile(*cpuprofile, *memprofile)
 	var reg *gia.ObsRegistry
 	if *metrics {
 		reg = gia.NewObsRegistry()
@@ -64,10 +50,7 @@ func main() {
 	if *tracePath != "" {
 		tr = gia.NewObsTrace()
 	}
-	if reg != nil || tr != nil || *cpuprofile != "" {
-		gia.InstrumentWorkerPool(reg, tr, *cpuprofile != "")
-		defer gia.InstrumentWorkerPool(nil, nil, false)
-	}
+	gia.InstrumentWorkerPool(reg, tr, *cpuprofile != "")
 
 	opts := gia.ExperimentOptions{Seed: *seed, Scale: *scale, PerfReps: *reps, Workers: *workers}
 	tables, err := gia.AllTables(opts)
@@ -75,30 +58,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *tracePath != "" {
-		if err := tr.WriteFile(*tracePath); err != nil {
-			log.Fatalf("write trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
+	if err := cli.WriteTelemetry(tr, *tracePath, reg); err != nil {
+		log.Fatal(err)
 	}
-	if reg != nil {
-		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
+	stopProfiles()
 
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)

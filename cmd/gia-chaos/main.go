@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"github.com/ghost-installer/gia"
+	"github.com/ghost-installer/gia/cmd/internal/cli"
 )
 
 type options struct {
@@ -137,7 +138,8 @@ func main() {
 		o.reg = gia.NewObsRegistry()
 	}
 	err := run(*mode, o)
-	if werr := writeObservability(o); werr != nil {
+	// The telemetry is flushed even when the verdict exits nonzero.
+	if werr := cli.WriteTelemetry(o.tr, o.tracePath, o.reg); werr != nil {
 		log.Fatal(werr)
 	}
 	if errors.Is(err, errViolation) {
@@ -146,23 +148,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// writeObservability flushes the trace file and the metrics snapshot; it
-// runs even when the invariant verdict will exit nonzero.
-func writeObservability(o options) error {
-	if o.tr != nil && o.tracePath != "" {
-		if err := o.tr.WriteFile(o.tracePath); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", o.tracePath)
-	}
-	if o.reg != nil {
-		if err := o.reg.Snapshot().WriteText(os.Stderr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // instrument attaches the session's registry, trace and flight-recorder
@@ -175,41 +160,15 @@ func (o options) instrument(ex *gia.ChaosExplorer) *gia.ChaosExplorer {
 	return ex
 }
 
-func profileByName(name string) (gia.InstallerProfile, error) {
-	switch strings.ToLower(name) {
-	case "amazon":
-		return gia.AmazonProfile(), nil
-	case "xiaomi":
-		return gia.XiaomiProfile(), nil
-	case "baidu":
-		return gia.BaiduProfile(), nil
-	case "qihoo360":
-		return gia.Qihoo360Profile(), nil
-	case "dtignite":
-		return gia.DTIgniteProfile(), nil
-	case "slideme":
-		return gia.SlideMeProfile(), nil
-	case "tencent":
-		return gia.TencentProfile(), nil
-	default:
-		return gia.InstallerProfile{}, fmt.Errorf("unknown store %q", name)
-	}
-}
-
 // invariant builds the RunFunc checked on every explored schedule.
 func invariant(o options) (func(r *gia.ChaosRun) error, error) {
-	prof, err := profileByName(o.store)
+	prof, err := gia.StoreProfile(o.store)
 	if err != nil {
 		return nil, err
 	}
-	var strategy gia.AttackStrategy
-	switch strings.ToLower(o.strategy) {
-	case "file-observer":
-		strategy = gia.StrategyFileObserver
-	case "wait-and-see":
-		strategy = gia.StrategyWaitAndSee
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", o.strategy)
+	strategy, err := gia.ParseAttackStrategy(o.strategy)
+	if err != nil {
+		return nil, err
 	}
 	var payload []byte
 	if o.payloadKB > 0 {

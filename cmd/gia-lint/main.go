@@ -8,7 +8,7 @@
 //
 //	gia-lint file.smali [file2.smali ...]        # lint smali sources
 //	gia-lint [-seed N] [-scale F] [-pop play|preinstalled|store|all]
-//	         [-workers N] [-findings N] [-cache on|off]
+//	         [-workers N] [-findings N]
 //	         [-trace FILE] [-metrics] [-json]    # scan a synthetic corpus
 //
 // -json switches the report to machine-readable output on stdout: one
@@ -16,11 +16,14 @@
 // aggregate score distribution. In file mode it emits the same shape with
 // file paths in place of package names.
 //
+// The scan runs on the shared worker pool with the content-addressed
+// analysis cache; findings are identical at any -workers value.
+//
 // Observability: -trace=FILE exports wall-clock spans of the corpus scan
-// (one track per scanner worker, one span per APK) as Chrome trace-event
-// JSON, or JSONL when FILE ends in .jsonl. -metrics prints the engine's
-// counter snapshot (files, instructions, findings, cache layers) to
-// stderr.
+// (one "par/worker-K" track per pool worker, one span per APK) as Chrome
+// trace-event JSON, or JSONL when FILE ends in .jsonl. -metrics prints the
+// engine's counter snapshot (files, instructions, findings, cache
+// outcomes) to stderr.
 package main
 
 import (
@@ -30,12 +33,15 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
+	"time"
 
+	"github.com/ghost-installer/gia/cmd/internal/cli"
 	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/corpus"
+	"github.com/ghost-installer/gia/internal/measure"
 	"github.com/ghost-installer/gia/internal/obs"
+	"github.com/ghost-installer/gia/internal/par"
 )
 
 func main() {
@@ -44,47 +50,29 @@ func main() {
 	pop := flag.String("pop", "play", "population: play|preinstalled|store|all")
 	workers := flag.Int("workers", runtime.NumCPU(), "scanner worker pool size")
 	findings := flag.Int("findings", 10, "example findings to print in corpus mode")
-	cache := flag.String("cache", "on", "content-addressed analysis cache: on|off (findings are identical either way)")
 	tracePath := flag.String("trace", "", "export a Chrome trace (or JSONL if the path ends in .jsonl) of the corpus scan")
 	metrics := flag.Bool("metrics", false, "print the engine's metrics snapshot to stderr")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (per-APK findings and threat scores) on stdout")
 	flag.Parse()
 
-	opts := analysis.EngineOptions{}
-	switch *cache {
-	case "on":
-		opts.CacheCapacity = 4096
-	case "off":
-	default:
-		log.Fatalf("-cache=%q: want on or off", *cache)
-	}
 	var reg *obs.Registry
 	if *metrics {
 		reg = obs.NewRegistry()
-		opts.Registry = reg
 	}
 	var tr *obs.Trace
 	if *tracePath != "" {
 		tr = obs.NewTrace()
-		opts.Trace = tr
+		par.SetInstrumentation(&par.Instrumentation{Trace: tr})
 	}
-	eng := analysis.NewEngineWithOptions(opts)
+	eng := analysis.NewEngineWithOptions(analysis.EngineOptions{CacheCapacity: 4096, Registry: reg})
 	if flag.NArg() > 0 {
 		os.Exit(lintFiles(eng, flag.Args(), *jsonOut))
 	}
-	if err := scanCorpus(eng, *seed, *scale, *pop, *workers, *findings, *jsonOut); err != nil {
+	if err := scanCorpus(eng, *seed, *scale, *pop, par.Workers(*workers), *findings, *jsonOut); err != nil {
 		log.Fatal(err)
 	}
-	if tr != nil {
-		if err := tr.WriteFile(*tracePath); err != nil {
-			log.Fatalf("write trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
-	}
-	if reg != nil {
-		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-			log.Fatal(err)
-		}
+	if err := cli.WriteTelemetry(tr, *tracePath, reg); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -201,9 +189,11 @@ func scanCorpus(eng *analysis.Engine, seed int64, scale float64, pop string, wor
 			len(apps), pop, workers, len(eng.Rules()))
 	}
 
+	start := time.Now()
 	reports, stats := eng.ScanCorpus(len(apps), workers, func(i int) *apk.APK {
 		return corpus.BuildAPKFor(apps[i])
 	})
+	elapsed := time.Since(start)
 
 	if jsonOut {
 		out := jsonOutput{
@@ -243,16 +233,11 @@ func scanCorpus(eng *analysis.Engine, seed int64, scale float64, pop string, wor
 	for _, r := range eng.Rules() {
 		fmt.Printf("%-30s %-8s %10d   %s\n", r.ID(), r.Severity(), stats.PerRule[r.ID()], r.Description())
 	}
-	for _, id := range sortedKeys(stats.PerRule) {
-		if !knownRule(eng, id) {
-			fmt.Printf("%-30s %-8s %10d\n", id, "?", stats.PerRule[id])
-		}
-	}
 	fmt.Printf("\nscanned %d APKs (%d classes, %d methods, %d instructions, %d parse errors) in %v\n",
 		stats.APKs, stats.Stats.Classes, stats.Stats.Methods, stats.Stats.Instructions,
-		stats.Stats.ParseErrors, stats.Elapsed.Round(1e6))
+		stats.Stats.ParseErrors, elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f APKs/s, %.0f instructions/s (%d workers)\n",
-		stats.APKsPerSecond(), stats.InstructionsPerSecond(), stats.Workers)
+		float64(stats.APKs)/elapsed.Seconds(), float64(stats.Stats.Instructions)/elapsed.Seconds(), workers)
 	fmt.Printf("threat scores: mean %.1f, max %d; distribution", stats.MeanScore(), stats.ScoreMax)
 	for b := 0; b < analysis.ScoreBuckets; b++ {
 		fmt.Printf(" %s:%d", analysis.ScoreBucketLabel(b), stats.ScoreHist[b])
@@ -266,51 +251,20 @@ func scanCorpus(eng *analysis.Engine, seed int64, scale float64, pop string, wor
 }
 
 func population(c *corpus.Corpus, pop string) ([]corpus.AppMeta, error) {
-	preinstalled := func() []corpus.AppMeta {
-		seen := make(map[string]bool)
-		var out []corpus.AppMeta
-		for _, img := range c.Images {
-			for _, app := range img.Apps {
-				if !seen[app.Package] {
-					seen[app.Package] = true
-					out = append(out, app)
-				}
-			}
-		}
-		return out
-	}
 	switch pop {
 	case "play":
 		return c.PlayApps, nil
 	case "preinstalled":
-		return preinstalled(), nil
+		return measure.UniquePreinstalled(c.Images), nil
 	case "store":
 		return c.StoreApps, nil
 	case "all":
 		var all []corpus.AppMeta
 		all = append(all, c.PlayApps...)
-		all = append(all, preinstalled()...)
+		all = append(all, measure.UniquePreinstalled(c.Images)...)
 		all = append(all, c.StoreApps...)
 		return all, nil
 	default:
 		return nil, fmt.Errorf("unknown population %q (want play|preinstalled|store|all)", pop)
 	}
-}
-
-func knownRule(eng *analysis.Engine, id string) bool {
-	for _, r := range eng.Rules() {
-		if r.ID() == id {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

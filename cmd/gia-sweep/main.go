@@ -16,12 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"github.com/ghost-installer/gia"
+	"github.com/ghost-installer/gia/cmd/internal/cli"
 )
 
 func main() {
@@ -31,39 +30,12 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		gia.InstrumentWorkerPool(nil, nil, true)
-		defer func() {
-			gia.InstrumentWorkerPool(nil, nil, false)
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	stopProfiles := cli.Profile(*cpuprofile, *memprofile)
+	gia.InstrumentWorkerPool(nil, nil, *cpuprofile != "")
 	if err := run(*trials, *seed, *workers); err != nil {
 		log.Fatal(err)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
+	stopProfiles()
 }
 
 func printPoints(title, param string, points []gia.SweepPoint) {

@@ -28,6 +28,11 @@
 // with no initializer is flagged too. A global that earns its place
 // carries a `//gia:global — why` comment on the line of its name.
 //
+// A note must excuse something: a //gia:wallclock note on a line with no
+// time.Now call, or a //gia:global note on a line whose variable would
+// pass anyway, is itself a finding, so no note outlives the code it
+// excused.
+//
 // Usage:
 //
 //	gia-vet [dir ...]    # default: every package under ./internal
@@ -147,12 +152,15 @@ func vetFile(path string) ([]string, error) {
 		return nil, err
 	}
 	v := &vetter{fset: fset, randPkg: importName(file, "math/rand"), timePkg: importName(file, "time")}
+	globalOK := v.guardedLines(file, globalGuard)
 	if !strings.HasSuffix(path, "_test.go") {
-		v.checkGlobals(file)
+		v.checkGlobals(file, globalOK)
 	}
 	v.wallclockOK = v.guardedLines(file, wallclockGuard)
 	v.collectMapIdents(file)
 	ast.Inspect(file, v.visit)
+	v.reportIdleGuards(file, wallclockGuard, v.wallclockOK, "time.Now call")
+	v.reportIdleGuards(file, globalGuard, globalOK, "package-level map or atomic memo")
 	return v.findings, nil
 }
 
@@ -165,25 +173,52 @@ const wallclockGuard = "//gia:wallclock"
 // variable's name.
 const globalGuard = "//gia:global"
 
-// guardedLines records the lines carrying a guard comment; findings its
-// guard covers are suppressed on those lines.
+// guardedLines maps each line carrying a guard comment to false; findings
+// its guard covers are suppressed on those lines, and guarded marks the
+// line true once it suppressed one.
 func (v *vetter) guardedLines(file *ast.File, guard string) map[int]bool {
 	lines := map[int]bool{}
+	v.eachGuard(file, guard, func(c *ast.Comment) { lines[v.fset.Position(c.Pos()).Line] = false })
+	return lines
+}
+
+// eachGuard calls fn on every comment of file that is a guard note, in
+// source order.
+func (v *vetter) eachGuard(file *ast.File, guard string, fn func(*ast.Comment)) {
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			if strings.HasPrefix(c.Text, guard) {
-				lines[v.fset.Position(c.Pos()).Line] = true
+				fn(c)
 			}
 		}
 	}
-	return lines
+}
+
+// guarded reports whether pos sits on a line of lines, and marks that
+// line's note as used.
+func (v *vetter) guarded(lines map[int]bool, pos token.Pos) bool {
+	line := v.fset.Position(pos).Line
+	if _, ok := lines[line]; !ok {
+		return false
+	}
+	lines[line] = true
+	return true
+}
+
+// reportIdleGuards flags each guard note that suppressed no finding: it
+// sits on a line with nothing for it to excuse.
+func (v *vetter) reportIdleGuards(file *ast.File, guard string, lines map[int]bool, what string) {
+	v.eachGuard(file, guard, func(c *ast.Comment) {
+		if !lines[v.fset.Position(c.Pos()).Line] {
+			v.report(c.Pos(), "%s note guards nothing: no %s on this line needs it (delete the note)", guard, what)
+		}
+	})
 }
 
 // checkGlobals flags each package-level var whose type is a map, a
 // struct with a map field, or a sync/atomic Pointer or Value, that has no
 // initializer and no //gia:global guard on its name's line.
-func (v *vetter) checkGlobals(file *ast.File) {
-	guarded := v.guardedLines(file, globalGuard)
+func (v *vetter) checkGlobals(file *ast.File, guarded map[int]bool) {
 	atomicPkg := importName(file, "sync/atomic")
 	for _, decl := range file.Decls {
 		gd, ok := decl.(*ast.GenDecl)
@@ -202,7 +237,7 @@ func (v *vetter) checkGlobals(file *ast.File) {
 				}
 			}
 			for _, name := range vs.Names {
-				if !guarded[v.fset.Position(name.Pos()).Line] {
+				if !v.guarded(guarded, name.Pos()) {
 					v.report(name.Pos(), "package-level %s %s: process-global mutable state (build the value once and pass it, or justify with //gia:global)", kind, name.Name)
 				}
 			}
@@ -261,7 +296,7 @@ type vetter struct {
 	randPkg     string // identifier math/rand is imported as, "" if absent
 	timePkg     string // identifier time is imported as, "" if absent
 	mapNames    map[string]bool
-	wallclockOK map[int]bool // lines guarded by //gia:wallclock
+	wallclockOK map[int]bool // lines guarded by //gia:wallclock (see guardedLines)
 	findings    []string
 }
 
@@ -339,7 +374,7 @@ func (v *vetter) visit(n ast.Node) bool {
 			return true
 		}
 		if v.timePkg != "" && pkg.Name == v.timePkg && sel.Sel.Name == "Now" &&
-			!v.wallclockOK[v.fset.Position(n.Pos()).Line] {
+			!v.guarded(v.wallclockOK, n.Pos()) {
 			v.report(n.Pos(), "time.Now: wall clock in a deterministic package (use the scheduler's virtual clock or obs.Stopwatch, or justify with //gia:wallclock)")
 		}
 		if v.randPkg != "" && pkg.Name == v.randPkg && globalRandFuncs[sel.Sel.Name] {

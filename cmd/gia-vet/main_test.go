@@ -143,8 +143,9 @@ func TestVetGuardedPackagesClean(t *testing.T) {
 			}
 		}
 	}
-	// The packages a simulated device and the experiment engine run, plus
-	// the two that read the wall clock under a guard.
+	// The packages a simulated device and the experiment engine run, the
+	// corpus scanner, and the two that read the wall clock under a guard
+	// (obs and serve).
 	for _, pkg := range []string{"sim", "chaos", "experiment", "serve", "device", "fuse", "installer", "analysis", "obs"} {
 		if !checked[pkg] {
 			t.Errorf("internal/%s not checked — walked %d packages", pkg, len(dirs))
@@ -310,4 +311,49 @@ var fixtures map[string][]byte
 	if len(findings) != 0 {
 		t.Errorf("test-file global flagged: %v", findings)
 	}
+}
+
+// TestVetFlagsIdleWallclockGuard: a //gia:wallclock note must sit on a
+// time.Now call. One on a line without it (the call was deleted, or the
+// clock is shadowed) is reported; one on a call is not.
+func TestVetFlagsIdleWallclockGuard(t *testing.T) {
+	findings := vetSource(t, `package p
+import "time"
+func f() int64 { return 0 } //gia:wallclock — the call it excused is gone
+func g(time struct{ Now func() int }) int { return time.Now() } //gia:wallclock — shadowed, not the clock
+func h() time.Time { return time.Now() } //gia:wallclock — still reads the clock
+`)
+	if len(findings) != 2 {
+		t.Fatalf("want the two idle notes flagged, got %v", findings)
+	}
+	for i, line := range []string{":3:", ":4:"} {
+		if !strings.Contains(findings[i], line) || !strings.Contains(findings[i], "//gia:wallclock note guards nothing") {
+			t.Errorf("finding %d = %q, want the idle note on line %s", i, findings[i], line)
+		}
+	}
+}
+
+// TestVetFlagsIdleGlobalGuard: a //gia:global note must sit on a global
+// the globals check would flag. Notes on an initialized table, a plain
+// counter and a test file's global are reported; the note on an
+// uninitialized map is not.
+func TestVetFlagsIdleGlobalGuard(t *testing.T) {
+	findings := vetSource(t, `package p
+import "sync/atomic"
+var weights = map[string]int{"a": 1} //gia:global — a lookup table needs no note
+var count atomic.Int64 //gia:global — a counter is not a memo
+var cache map[string][]byte //gia:global — still a process-global map
+`)
+	if len(findings) != 2 {
+		t.Fatalf("want the two idle notes flagged, got %v", findings)
+	}
+	for i, line := range []string{":3:", ":4:"} {
+		if !strings.Contains(findings[i], line) || !strings.Contains(findings[i], "//gia:global note guards nothing") {
+			t.Errorf("finding %d = %q, want the idle note on line %s", i, findings[i], line)
+		}
+	}
+	findings = vetNamed(t, "x_test.go", `package p
+var fixtures map[string][]byte //gia:global — test files are not checked for globals
+`)
+	wantFinding(t, findings, "//gia:global note guards nothing")
 }

@@ -29,9 +29,5 @@ func run(seed int64, scale float64) error {
 	for _, tab := range gia.MeasurementTables(c) {
 		fmt.Println(tab.Render())
 	}
-
-	cls := gia.ClassifyInstallers(c.PlayApps)
-	fmt.Printf("classifier summary: %d installers, %d potentially vulnerable (%.1f%% of known)\n",
-		cls.Installers, cls.Vulnerable, 100*cls.VulnerableFracKnown())
 	return nil
 }

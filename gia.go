@@ -33,7 +33,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/chaos"
@@ -128,34 +127,23 @@ type (
 	AITStep = installer.TraceStep
 )
 
-// Store profiles measured in the paper.
-func AmazonProfile() InstallerProfile      { return installer.Amazon() }
-func AmazonV2Profile() InstallerProfile    { return installer.AmazonV2() }
-func XiaomiProfile() InstallerProfile      { return installer.Xiaomi() }
-func BaiduProfile() InstallerProfile       { return installer.Baidu() }
-func Qihoo360Profile() InstallerProfile    { return installer.Qihoo360() }
-func DTIgniteProfile() InstallerProfile    { return installer.DTIgnite() }
-func SlideMeProfile() InstallerProfile     { return installer.SlideMe() }
-func TencentProfile() InstallerProfile     { return installer.Tencent() }
-func HuaweiStoreProfile() InstallerProfile { return installer.HuaweiStore() }
-func SprintZoneProfile() InstallerProfile  { return installer.SprintZone() }
-func GooglePlayProfile() InstallerProfile  { return installer.GooglePlay() }
-func APKPureProfile() InstallerProfile     { return installer.APKPure() }
-func GalaxyAppsProfile() InstallerProfile  { return installer.GalaxyApps() }
+// StoreProfile returns the store profile with the given name: amazon,
+// amazon-v2, apkpure, baidu, dtignite, galaxy-apps, googleplay, huawei,
+// qihoo360, slideme, sprintzone, tencent or xiaomi. Names match exactly.
+func StoreProfile(name string) (InstallerProfile, error) { return installer.ByName(name) }
 
-// OrdinaryDeveloperProfile is the hash-check-free self-made installer of
-// Section II.
-func OrdinaryDeveloperProfile(pkg string) InstallerProfile {
-	return installer.OrdinaryDeveloper(pkg)
-}
+// Store profiles measured in the paper that the examples build directly;
+// StoreProfile reaches every one by name.
+func AmazonProfile() InstallerProfile     { return installer.Amazon() }
+func XiaomiProfile() InstallerProfile     { return installer.Xiaomi() }
+func BaiduProfile() InstallerProfile      { return installer.Baidu() }
+func DTIgniteProfile() InstallerProfile   { return installer.DTIgnite() }
+func GooglePlayProfile() InstallerProfile { return installer.GooglePlay() }
 
 // HardenedProfile applies the paper's Section VII developer suggestions to
 // a store profile: prefer internal staging when space allows and verify on
 // a private copy otherwise.
 func HardenedProfile(prof InstallerProfile) InstallerProfile { return installer.Hardened(prof) }
-
-// AllStoreProfiles lists every store profile.
-func AllStoreProfiles() []InstallerProfile { return installer.AllStoreProfiles() }
 
 // DeployInstaller installs a store app built from a profile onto a device.
 func DeployInstaller(dev *Device, prof InstallerProfile, key *SigningKey) (*InstallerApp, error) {
@@ -187,6 +175,10 @@ const (
 	StrategyFileObserver = attack.StrategyFileObserver
 	StrategyWaitAndSee   = attack.StrategyWaitAndSee
 )
+
+// ParseAttackStrategy maps a strategy's name ("file-observer" or
+// "wait-and-see", as its String method prints it) back onto the strategy.
+func ParseAttackStrategy(name string) (AttackStrategy, error) { return attack.ParseStrategy(name) }
 
 // DeployMalware plants the adversary's app on a device.
 func DeployMalware(dev *Device, pkg string) (*Malware, error) { return attack.DeployMalware(dev, pkg) }
@@ -267,24 +259,6 @@ func ClassifyInstallers(apps []AppMeta) Classification {
 	return measure.Tally(metas)
 }
 
-// Static-analysis engine.
-type (
-	// Finding is one lint-rule hit with class/method/line provenance.
-	Finding = analysis.Finding
-	// LintRule is one pluggable GIA detector.
-	LintRule = analysis.Rule
-)
-
-// LintRules returns the default GIA rule set (sdcard staging,
-// world-readable staging, install API, market redirects, reflection
-// obfuscation).
-func LintRules() []LintRule { return analysis.DefaultRules() }
-
-// LintAPK runs the analysis engine — smali IR, control-flow graphs,
-// reaching definitions, lint rules — over an APK artifact's embedded code
-// and returns the findings.
-func LintAPK(a *APK) []Finding { return analysis.NewEngine().ScanAPK(a).Findings }
-
 // NewTimeline records dev's merged event timeline — filesystem events
 // under dirs, package changes and IntentFirewall alerts — onto a fresh
 // virtual-time track bound to dev's clock: the textual equivalent of the
@@ -349,9 +323,6 @@ func RedirectStudyTable(seed int64) (ExperimentTable, error) { return experiment
 // DMStudyTable runs the DM symlink attack across the three policies.
 func DMStudyTable(seed int64) (ExperimentTable, error) { return experiment.DMTable(seed) }
 
-// Figure1Table traces the AIT steps per store profile.
-func Figure1Table(seed int64) (ExperimentTable, error) { return experiment.Figure1(seed) }
-
 // Ablation sweeps (extensions beyond the paper's tables).
 type (
 	// SweepPoint is one configuration of an ablation sweep.
@@ -394,12 +365,6 @@ func SurveyAttackSurface(profiles []InstallerProfile, dmPolicy dm.SymlinkPolicy)
 // SurfaceTable renders the survey as a table.
 func SurfaceTable(profiles []InstallerProfile, dmPolicy dm.SymlinkPolicy) ExperimentTable {
 	return experiment.SurfaceTable(profiles, dmPolicy)
-}
-
-// FleetStudyTable scales the hijack across a device fleet, fanning devices
-// out on a worker pool of the given size (<= 0 selects NumCPU).
-func FleetStudyTable(devicesPerStore int, seed int64, workers int) (ExperimentTable, error) {
-	return experiment.FleetTable(devicesPerStore, seed, workers)
 }
 
 // MeasurementTables regenerates the corpus-based tables (II, III, IV, VI,
@@ -469,9 +434,6 @@ const (
 func NewFaultPlan(seed int64, rules ...FaultRule) *FaultPlan {
 	return chaos.NewFaultPlan(seed, rules...)
 }
-
-// ParseChaosToken decodes a replay token back into a schedule.
-func ParseChaosToken(tok string) (ChaosSchedule, error) { return chaos.ParseToken(tok) }
 
 // InstrumentScenario attaches a chaos run to a scenario's scheduler and
 // every fault-capable substrate; call it before driving the clock.

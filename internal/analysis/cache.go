@@ -21,9 +21,6 @@ type EngineOptions struct {
 	// the analysis memo layer under "analysis.cache.canon.*". Equivalent to
 	// calling Observe afterwards.
 	Registry *obs.Registry
-	// Trace, when non-nil, gives ScanCorpus workers wall-clock
-	// "scan/worker-K" tracks with one span per scanned artifact.
-	Trace *obs.Trace
 }
 
 // NewEngineWithOptions builds an engine with the given options; with no
@@ -38,16 +35,16 @@ func NewEngineWithOptions(o EngineOptions, rules ...Rule) *Engine {
 			table: memo.New[cachedSource](o.CacheCapacity),
 		}
 	}
-	e.trace = o.Trace
 	e.Observe(o.Registry)
 	return e
 }
 
 // Observe re-homes the engine's telemetry onto reg: the per-scan counters
-// ("analysis.scan.files", ".instructions", ".findings", ".parse_errors"
-// and the ".cache.hits/misses/deduped" outcome split) plus, on a cached
-// engine, its memo tables. Values accumulated so far carry over. Call it
-// before scanning concurrently; a nil registry is a no-op.
+// ("analysis.scan.files", ".instructions", ".findings", ".parse_errors")
+// plus, on a cached engine, its memo table, whose
+// "analysis.cache.canon.hits/misses/deduped" are the per-file cache
+// outcomes. Values accumulated so far carry over. Call it before scanning
+// concurrently; a nil registry is a no-op.
 func (e *Engine) Observe(reg *obs.Registry) {
 	if e == nil || reg == nil {
 		return
@@ -56,9 +53,6 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	obs.Rehome(reg, "analysis.scan.instructions", &e.met.instructions)
 	obs.Rehome(reg, "analysis.scan.findings", &e.met.findings)
 	obs.Rehome(reg, "analysis.scan.parse_errors", &e.met.parseErrors)
-	obs.Rehome(reg, "analysis.scan.cache.hits", &e.met.cacheHits)
-	obs.Rehome(reg, "analysis.scan.cache.misses", &e.met.cacheMisses)
-	obs.Rehome(reg, "analysis.scan.cache.deduped", &e.met.cacheDeduped)
 	if e.cache != nil {
 		e.cache.table.Observe(reg, "analysis.cache.canon")
 	}

@@ -132,7 +132,7 @@ func TestCachedEngineMatchesUncachedScanAPK(t *testing.T) {
 			a := corpus.BuildAPKFor(app)
 			got := cached.ScanAPK(a)
 			want := plain.ScanAPK(a)
-			got.CacheHits, got.CacheMisses, got.CacheDeduped = 0, 0, 0
+			got.CacheMisses = 0
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d %s: cached report diverges:\ncached   %+v\nuncached %+v",
 					round, app.Package, got, want)

@@ -2,14 +2,12 @@ package analysis
 
 import (
 	"slices"
-	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/memo"
 	"github.com/ghost-installer/gia/internal/obs"
+	"github.com/ghost-installer/gia/internal/par"
 )
 
 // Engine runs a rule set over smali sources and APK artifacts. An Engine
@@ -22,8 +20,6 @@ type Engine struct {
 	// met are the engine's scan counters; all-nil (the default) disables
 	// them at zero cost. Observe re-homes them onto a registry.
 	met engineMetrics
-	// trace, when non-nil, gives ScanCorpus workers per-worker wall spans.
-	trace *obs.Trace
 }
 
 // engineMetrics mirror the per-scan ScanStats aggregates as cumulative,
@@ -33,9 +29,6 @@ type engineMetrics struct {
 	instructions *obs.Counter
 	findings     *obs.Counter
 	parseErrors  *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	cacheDeduped *obs.Counter
 }
 
 // NewEngine builds an engine; with no arguments it loads DefaultRules.
@@ -67,9 +60,7 @@ func (s *Stats) add(o Stats) {
 }
 
 // Report is the outcome of scanning one artifact: findings sorted by
-// (file, line, rule), coverage stats and any per-file parse errors. The
-// cache counters record how the artifact's files were served when the
-// engine's analysis cache is enabled (all zero otherwise).
+// (file, line, rule), coverage stats and any per-file parse errors.
 type Report struct {
 	Findings []Finding
 	Stats    Stats
@@ -78,10 +69,10 @@ type Report struct {
 	// from Findings after the scan — so cached and uncached scans agree by
 	// construction.
 	Score int
-
-	CacheHits    int
-	CacheMisses  int
-	CacheDeduped int
+	// CacheMisses counts the artifact's files that a cached engine had to
+	// analyze itself (always zero on an uncached engine). The engine-wide
+	// split of hits, misses and dedups is Engine.CacheStats.
+	CacheMisses int
 }
 
 // AnalyzeSource parses one smali file and checks every rule against it.
@@ -138,15 +129,8 @@ func (e *Engine) ScanAPK(a *apk.APK) Report {
 	for _, name := range names {
 		findings, stats, outcome, err := e.analyzeSourceBytes(name, a.Files[name])
 		rep.Stats.add(stats)
-		if e.cache != nil {
-			switch outcome {
-			case memo.Hit:
-				rep.CacheHits++
-			case memo.Deduped:
-				rep.CacheDeduped++
-			default:
-				rep.CacheMisses++
-			}
+		if e.cache != nil && outcome == memo.Miss {
+			rep.CacheMisses++
 		}
 		if err != nil {
 			rep.Errors = append(rep.Errors, err)
@@ -168,33 +152,22 @@ func (m *engineMetrics) record(rep Report) {
 	m.instructions.Add(int64(rep.Stats.Instructions))
 	m.findings.Add(int64(len(rep.Findings)))
 	m.parseErrors.Add(int64(rep.Stats.ParseErrors))
-	m.cacheHits.Add(int64(rep.CacheHits))
-	m.cacheMisses.Add(int64(rep.CacheMisses))
-	m.cacheDeduped.Add(int64(rep.CacheDeduped))
 }
 
-// ScanStats aggregates a corpus scan with per-rule hit counts and
-// throughput figures. The cache counters aggregate per-file outcomes of a
-// cache-enabled engine (zero otherwise); their split between misses,
-// hits and dedups depends on worker scheduling, but their sum is always
-// the number of files scanned.
+// ScanStats aggregates a corpus scan: coverage, per-rule hit counts and
+// threat-score aggregates. Every field is a sum or maximum over the
+// scanned artifacts, so it is the same at any worker count.
 type ScanStats struct {
 	APKs     int
-	Workers  int
 	Findings int
 	PerRule  map[string]int
 	Stats    Stats
-	Elapsed  time.Duration
 
 	// Threat-score aggregates over the scanned artifacts: total, maximum
 	// and a ScoreBuckets-bucket histogram (20 points per bucket).
 	ScoreSum  int
 	ScoreMax  int
 	ScoreHist [ScoreBuckets]int
-
-	CacheHits    int
-	CacheMisses  int
-	CacheDeduped int
 }
 
 // MeanScore is the average per-APK threat score of the scan.
@@ -205,102 +178,41 @@ func (s ScanStats) MeanScore() float64 {
 	return float64(s.ScoreSum) / float64(s.APKs)
 }
 
-// InstructionsPerSecond is the scan throughput in IR operations.
-func (s ScanStats) InstructionsPerSecond() float64 {
-	return rate(s.Stats.Instructions, s.Elapsed)
-}
-
-// APKsPerSecond is the scan throughput in artifacts.
-func (s ScanStats) APKsPerSecond() float64 { return rate(s.APKs, s.Elapsed) }
-
-func rate(n int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) / d.Seconds()
-}
-
-// ScanCorpus fans a corpus of n artifacts out over a bounded worker pool.
-// fetch(i) supplies the i-th artifact and is called concurrently from the
-// workers, so expensive artifact materialization (corpus.BuildAPKFor)
-// parallelizes with the scan itself. Results are returned index-aligned
-// with the input; a nil artifact yields an empty Report.
+// ScanCorpus scans a corpus of n artifacts on the shared worker pool
+// (par.Map; workers <= 0 selects NumCPU). fetch(i) supplies the i-th
+// artifact and is called concurrently from the workers, so expensive
+// artifact materialization (corpus.BuildAPKFor) parallelizes with the
+// scan itself. Results are returned index-aligned with the input; a nil
+// artifact yields an empty Report and is not counted. A panic in fetch or
+// the scan is re-raised on the calling goroutine.
 func (e *Engine) ScanCorpus(n, workers int, fetch func(int) *apk.APK) ([]Report, ScanStats) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	start := time.Now() //gia:wallclock — ScanStats.Elapsed: gia-lint's throughput line, never a rendered table
-	reports := make([]Report, n)
-	partials := make([]ScanStats, workers)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, part *ScanStats) {
-			defer wg.Done()
-			part.PerRule = make(map[string]int)
-			var track *obs.Track
-			if e.trace != nil {
-				track = e.trace.WallTrack("scan/worker-" + strconv.Itoa(w))
-			}
-			for i := range indices {
-				a := fetch(i)
-				if a == nil {
-					continue
-				}
-				var sp obs.Span
-				if track != nil {
-					sp = track.Begin("apk", strconv.Itoa(i))
-				}
-				rep := e.ScanAPK(a)
-				sp.End()
-				reports[i] = rep
-				part.APKs++
-				part.Findings += len(rep.Findings)
-				part.Stats.add(rep.Stats)
-				part.ScoreSum += rep.Score
-				if rep.Score > part.ScoreMax {
-					part.ScoreMax = rep.Score
-				}
-				part.ScoreHist[ScoreBucket(rep.Score)]++
-				part.CacheHits += rep.CacheHits
-				part.CacheMisses += rep.CacheMisses
-				part.CacheDeduped += rep.CacheDeduped
-				for _, f := range rep.Findings {
-					part.PerRule[f.RuleID]++
-				}
-			}
-		}(w, &partials[w])
-	}
-	for i := 0; i < n; i++ {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-
-	agg := ScanStats{Workers: workers, PerRule: make(map[string]int)}
-	for _, p := range partials {
-		agg.APKs += p.APKs
-		agg.Findings += p.Findings
-		agg.Stats.add(p.Stats)
-		agg.ScoreSum += p.ScoreSum
-		if p.ScoreMax > agg.ScoreMax {
-			agg.ScoreMax = p.ScoreMax
+	scanned := make([]bool, n)
+	reports, err := par.Map(workers, n, func(i int) (Report, error) {
+		a := fetch(i)
+		if a == nil {
+			return Report{}, nil
 		}
-		for b, c := range p.ScoreHist {
-			agg.ScoreHist[b] += c
+		scanned[i] = true
+		return e.ScanAPK(a), nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	agg := ScanStats{PerRule: make(map[string]int)}
+	for i, rep := range reports {
+		if !scanned[i] {
+			continue
 		}
-		agg.CacheHits += p.CacheHits
-		agg.CacheMisses += p.CacheMisses
-		agg.CacheDeduped += p.CacheDeduped
-		for id, c := range p.PerRule {
-			agg.PerRule[id] += c
+		agg.APKs++
+		agg.Findings += len(rep.Findings)
+		agg.Stats.add(rep.Stats)
+		agg.ScoreSum += rep.Score
+		agg.ScoreMax = max(agg.ScoreMax, rep.Score)
+		agg.ScoreHist[ScoreBucket(rep.Score)]++
+		for _, f := range rep.Findings {
+			agg.PerRule[f.RuleID]++
 		}
 	}
-	agg.Elapsed = time.Since(start)
 	return reports, agg
 }
 

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/ghost-installer/gia/internal/apk"
@@ -91,9 +93,6 @@ func TestScanCorpusParallelMatchesSerial(t *testing.T) {
 	fetch := func(i int) *apk.APK { return apks[i] }
 	serialReports, serialStats := eng.ScanCorpus(len(apks), 1, fetch)
 	parallelReports, parallelStats := eng.ScanCorpus(len(apks), runtime.NumCPU(), fetch)
-	if serialStats.Workers != 1 || parallelStats.Workers < 1 {
-		t.Errorf("workers = %d / %d", serialStats.Workers, parallelStats.Workers)
-	}
 	if !reflect.DeepEqual(serialReports, parallelReports) {
 		t.Fatal("parallel reports differ from serial")
 	}
@@ -107,11 +106,8 @@ func TestScanCorpusParallelMatchesSerial(t *testing.T) {
 		serialStats.PerRule[RuleIDWorldReadable] != 20 || serialStats.Findings != want {
 		t.Errorf("aggregate = %+v", serialStats)
 	}
-	if serialStats.Stats.Instructions == 0 || serialStats.Elapsed <= 0 {
-		t.Errorf("throughput inputs missing: %+v", serialStats)
-	}
-	if serialStats.InstructionsPerSecond() <= 0 || serialStats.APKsPerSecond() <= 0 {
-		t.Errorf("throughput not computed: %+v", serialStats)
+	if serialStats.Stats.Instructions == 0 {
+		t.Errorf("coverage missing: %+v", serialStats)
 	}
 }
 
@@ -132,6 +128,27 @@ func TestScanCorpusZeroItems(t *testing.T) {
 	}
 }
 
+// TestScanCorpusPanicReachesCaller: a panicking fetch must surface on the
+// goroutine that called ScanCorpus, where it can be recovered, instead of
+// killing the process from a worker.
+func TestScanCorpusPanicReachesCaller(t *testing.T) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("ScanCorpus returned normally after fetch panicked")
+		}
+		if !strings.Contains(fmt.Sprint(p), "fetch 3 failed") {
+			t.Errorf("panic value = %v, want the fetch's panic", p)
+		}
+	}()
+	NewEngine().ScanCorpus(8, 2, func(i int) *apk.APK {
+		if i == 3 {
+			panic("fetch 3 failed")
+		}
+		return nil
+	})
+}
+
 func TestAnalyzeSourceError(t *testing.T) {
 	_, stats, err := NewEngine().AnalyzeSource("x.smali", "garbage {")
 	if err == nil {
@@ -144,7 +161,8 @@ func TestAnalyzeSourceError(t *testing.T) {
 
 // TestScanCountersMatchStats pins the re-homing satellite: the per-scan
 // ScanStats aggregates and the registry's engine-lifetime counters report
-// the same numbers after one corpus scan on a fresh engine.
+// the same numbers after one corpus scan on a fresh engine, and the memo
+// table's counters are the per-file cache outcomes.
 func TestScanCountersMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := NewEngineWithOptions(EngineOptions{CacheCapacity: 256, Registry: reg})
@@ -171,39 +189,34 @@ func TestScanCountersMatchStats(t *testing.T) {
 	if got := snap.Counter("analysis.scan.findings"); got != int64(stats.Findings) {
 		t.Errorf("analysis.scan.findings = %d, ScanStats.Findings = %d", got, stats.Findings)
 	}
-	if got := snap.Counter("analysis.scan.cache.hits"); got != int64(stats.CacheHits) {
-		t.Errorf("analysis.scan.cache.hits = %d, ScanStats.CacheHits = %d", got, stats.CacheHits)
-	}
-	if got := snap.Counter("analysis.scan.cache.misses"); got != int64(stats.CacheMisses) {
-		t.Errorf("analysis.scan.cache.misses = %d, ScanStats.CacheMisses = %d", got, stats.CacheMisses)
-	}
-	if got := snap.Counter("analysis.scan.cache.deduped"); got != int64(stats.CacheDeduped) {
-		t.Errorf("analysis.scan.cache.deduped = %d, ScanStats.CacheDeduped = %d", got, stats.CacheDeduped)
-	}
-	// The sum of outcomes is the file count — the ScanStats invariant,
-	// now visible through the registry too.
-	sum := snap.Counter("analysis.scan.cache.hits") + snap.Counter("analysis.scan.cache.misses") +
-		snap.Counter("analysis.scan.cache.deduped")
-	if sum != int64(stats.Stats.Files) {
-		t.Errorf("cache outcome sum = %d, files = %d", sum, stats.Stats.Files)
-	}
 
-	// CacheStats and the memo-layer registry counters must also agree, and
-	// with one memo layer its outcomes are the per-file outcomes.
+	// CacheStats and the memo table's registry counters agree. With one
+	// memo layer every scanned file is one outcome, and the files a report
+	// counts as misses are the table's misses.
 	cs, ok := eng.CacheStats()
 	if !ok {
 		t.Fatal("cached engine reported no cache stats")
 	}
 	for _, c := range []struct {
-		name      string
-		memo, eng int64
+		name string
+		memo int64
 	}{
-		{"hits", cs.Hits, int64(stats.CacheHits)},
-		{"misses", cs.Misses, int64(stats.CacheMisses)},
-		{"deduped", cs.Deduped, int64(stats.CacheDeduped)},
+		{"hits", cs.Hits},
+		{"misses", cs.Misses},
+		{"deduped", cs.Deduped},
 	} {
-		if got := snap.Counter("analysis.cache.canon." + c.name); got != c.memo || got != c.eng {
-			t.Errorf("analysis.cache.canon.%s = %d, CacheStats = %d, ScanStats = %d", c.name, got, c.memo, c.eng)
+		if got := snap.Counter("analysis.cache.canon." + c.name); got != c.memo {
+			t.Errorf("analysis.cache.canon.%s = %d, CacheStats = %d", c.name, got, c.memo)
 		}
+	}
+	if sum := cs.Hits + cs.Misses + cs.Deduped; sum != int64(stats.Stats.Files) {
+		t.Errorf("cache outcome sum = %d, files = %d", sum, stats.Stats.Files)
+	}
+	misses := 0
+	for _, rep := range reports {
+		misses += rep.CacheMisses
+	}
+	if int64(misses) != cs.Misses {
+		t.Errorf("Report.CacheMisses sum = %d, CacheStats.Misses = %d", misses, cs.Misses)
 	}
 }

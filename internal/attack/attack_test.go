@@ -484,3 +484,19 @@ func TestHareBlockedWithoutDefinition(t *testing.T) {
 		t.Fatalf("steal = %v, want ErrHareBlocked", err)
 	}
 }
+
+// TestParseStrategyRoundTrip: ParseStrategy inverts Strategy.String and
+// matches names exactly.
+func TestParseStrategyRoundTrip(t *testing.T) {
+	for _, s := range []Strategy{StrategyFileObserver, StrategyWaitAndSee} {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "File-Observer", "strategy(3)"} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", name)
+		}
+	}
+}

@@ -36,6 +36,17 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy is the inverse of Strategy.String: it maps a strategy's
+// name back onto the strategy. Names match exactly.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{StrategyFileObserver, StrategyWaitAndSee} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want file-observer or wait-and-see)", name)
+}
+
 // ReplaceMethod selects how the replacement lands on the staged file. The
 // paper's DAPP analysis (Section V-B) enumerates all three and the events
 // each exposes.

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -479,7 +480,7 @@ func RedirectStudy(seed int64) ([]RedirectOutcome, error) {
 		screen := dev.AMS.Screen()
 		alerts := dev.AMS.Firewall().Alerts()
 		deceived := screen.Pkg == "com.android.vending" &&
-			containsLookalike(screen.Content, "com.faceb00k.orca") &&
+			strings.Contains(screen.Content, "com.faceb00k.orca") &&
 			len(alerts) == 0 && origin == ""
 		out = append(out, RedirectOutcome{
 			Defense:      cfg.name,
@@ -490,19 +491,6 @@ func RedirectStudy(seed int64) ([]RedirectOutcome, error) {
 		})
 	}
 	return out, nil
-}
-
-func containsLookalike(content, appID string) bool {
-	return len(content) >= len(appID) && stringsContains(content, appID)
-}
-
-func stringsContains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // RedirectTable renders the redirect study.

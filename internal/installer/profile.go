@@ -7,6 +7,8 @@
 package installer
 
 import (
+	"fmt"
+	"slices"
 	"time"
 )
 
@@ -324,14 +326,49 @@ func OrdinaryDeveloper(pkg string) Profile {
 	}
 }
 
+// stores names every store profile the paper tested, in the order the
+// sweep experiments run them. The names are the vocabulary of the CLIs'
+// -store flags and the fleet API's "store" field.
+var stores = []struct {
+	name string
+	mk   func() Profile
+}{
+	{"amazon", Amazon}, {"amazon-v2", AmazonV2}, {"xiaomi", Xiaomi},
+	{"baidu", Baidu}, {"qihoo360", Qihoo360}, {"dtignite", DTIgnite},
+	{"slideme", SlideMe}, {"tencent", Tencent}, {"huawei", HuaweiStore},
+	{"sprintzone", SprintZone}, {"apkpure", APKPure},
+	{"galaxy-apps", GalaxyApps}, {"googleplay", GooglePlay},
+}
+
 // AllStoreProfiles returns every store profile the paper tested, for the
 // sweep experiments.
 func AllStoreProfiles() []Profile {
-	return []Profile{
-		Amazon(), AmazonV2(), Xiaomi(), Baidu(), Qihoo360(),
-		DTIgnite(), SlideMe(), Tencent(), HuaweiStore(), SprintZone(),
-		APKPure(), GalaxyApps(), GooglePlay(),
+	out := make([]Profile, len(stores))
+	for i, s := range stores {
+		out[i] = s.mk()
 	}
+	return out
+}
+
+// ByName returns the store profile with the given name (see StoreNames).
+// Names match exactly.
+func ByName(name string) (Profile, error) {
+	for _, s := range stores {
+		if s.name == name {
+			return s.mk(), nil
+		}
+	}
+	return Profile{}, fmt.Errorf("unknown store %q (want one of %v)", name, StoreNames())
+}
+
+// StoreNames lists the names ByName accepts, sorted.
+func StoreNames() []string {
+	out := make([]string, len(stores))
+	for i, s := range stores {
+		out[i] = s.name
+	}
+	slices.Sort(out)
+	return out
 }
 
 // InternalStorageStores names the profiles that stage internally (the

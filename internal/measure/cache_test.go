@@ -7,6 +7,7 @@ import (
 
 	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/corpus"
+	"github.com/ghost-installer/gia/internal/memo"
 )
 
 // TestCachedMatchesUncached is the measure-layer cache-parity oracle: the
@@ -22,7 +23,9 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 	workerCounts := []int{1, runtime.NumCPU()}
 	for _, workers := range workerCounts {
+		before, _ := engine.CacheStats()
 		cachedMetas, cachedStats := Scan(nil, apps, workers)
+		cs := cacheDelta(before)
 		plainMetas, plainStats := Scan(analysis.NewEngine(), apps, workers)
 
 		if !reflect.DeepEqual(cachedMetas, plainMetas) {
@@ -57,17 +60,23 @@ func TestCachedMatchesUncached(t *testing.T) {
 
 		// The cached run must actually have used the cache, and its
 		// outcome counters must account for every file scanned.
-		total := cachedStats.CacheHits + cachedStats.CacheMisses + cachedStats.CacheDeduped
-		if total != cachedStats.Stats.Files {
+		if total := cs.Hits + cs.Misses + cs.Deduped; total != int64(cachedStats.Stats.Files) {
 			t.Errorf("workers=%d: cache outcomes %d != files scanned %d",
 				workers, total, cachedStats.Stats.Files)
 		}
-		if cachedStats.CacheHits == 0 {
+		if cs.Hits == 0 {
 			t.Errorf("workers=%d: template corpus produced zero cache hits", workers)
 		}
-		if plainStats.CacheHits+plainStats.CacheMisses+plainStats.CacheDeduped != 0 {
-			t.Errorf("workers=%d: uncached scan reported cache outcomes: %+v", workers, plainStats)
-		}
+	}
+}
+
+// cacheDelta is the shared engine's cache outcomes since before.
+func cacheDelta(before memo.Stats) memo.Stats {
+	after, _ := engine.CacheStats()
+	return memo.Stats{
+		Hits:    after.Hits - before.Hits,
+		Misses:  after.Misses - before.Misses,
+		Deduped: after.Deduped - before.Deduped,
 	}
 }
 
@@ -77,13 +86,15 @@ func TestCachedMatchesUncached(t *testing.T) {
 func TestCacheCollapsesTemplateCorpus(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Seed: 99, Scale: 0.05})
 	apps := c.PlayApps
+	before, _ := engine.CacheStats()
 	_, stats := Scan(nil, apps, 1)
+	cs := cacheDelta(before)
 	if stats.Stats.Files < len(apps) {
 		t.Fatalf("scanned %d files for %d apps", stats.Stats.Files, len(apps))
 	}
-	hitRate := float64(stats.CacheHits) / float64(stats.Stats.Files)
+	hitRate := float64(cs.Hits) / float64(stats.Stats.Files)
 	if hitRate < 0.9 {
 		t.Errorf("cache hit rate = %.2f over %d files (hits %d, misses %d); template corpus should collapse",
-			hitRate, stats.Stats.Files, stats.CacheHits, stats.CacheMisses)
+			hitRate, stats.Stats.Files, cs.Hits, cs.Misses)
 	}
 }

@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"runtime"
-
 	"github.com/ghost-installer/gia/internal/analysis"
 	"github.com/ghost-installer/gia/internal/apk"
 	"github.com/ghost-installer/gia/internal/corpus"
@@ -51,16 +49,13 @@ func ObserveEngine(reg *obs.Registry) { engine.Observe(reg) }
 // per-method control-flow graphs and reaching definitions, and folds the
 // findings and the manifest into the classifier's features. It returns
 // the features index-aligned with apps plus the scan's aggregate
-// statistics (per-rule hits, threat scores, coverage, cache outcomes).
+// statistics (per-rule hits, threat scores, coverage).
 // A nil e scans on the shared cached engine; tests pass
 // analysis.NewEngine() as the uncached reference. workers <= 0 selects
 // NumCPU.
 func Scan(e *analysis.Engine, apps []corpus.AppMeta, workers int) ([]ExtractedMeta, analysis.ScanStats) {
 	if e == nil {
 		e = engine
-	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
 	}
 	writeExt := make([]bool, len(apps))
 	reports, stats := e.ScanCorpus(len(apps), workers, func(i int) *apk.APK {

@@ -161,7 +161,7 @@ func TestScanArtifactsStats(t *testing.T) {
 	if len(metas) != len(apps) {
 		t.Fatalf("metas = %d", len(metas))
 	}
-	if stats.APKs != len(apps) || stats.Workers != 2 {
+	if stats.APKs != len(apps) {
 		t.Errorf("stats = %+v", stats)
 	}
 	if stats.PerRule[analysis.RuleIDInstallAPI] != 3 ||

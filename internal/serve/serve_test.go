@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -117,15 +116,24 @@ func TestPatchedDeviceBlocksHijack(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	f := newTestFleet(t, Config{Shards: 1})
-	if _, err := f.CreateDevice(CreateDeviceRequest{Store: "nope"}); !errors.Is(err, ErrBadRequest) {
+	_, err := f.CreateDevice(CreateDeviceRequest{Store: "nope"})
+	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown store: %v, want ErrBadRequest", err)
+	}
+	// The 400 body names every accepted store.
+	if want := `serve: bad request: unknown store "nope" (want one of [amazon amazon-v2 apkpure baidu dtignite galaxy-apps googleplay huawei qihoo360 slideme sprintzone tencent xiaomi])`; err.Error() != want {
+		t.Errorf("unknown store error = %q, want %q", err, want)
 	}
 	info, err := f.CreateDevice(CreateDeviceRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Attack(info.ID, AttackRequest{Strategy: "nope"}); !errors.Is(err, ErrBadRequest) {
+	_, err = f.Attack(info.ID, AttackRequest{Strategy: "nope"})
+	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown strategy: %v, want ErrBadRequest", err)
+	}
+	if want := `serve: bad request: unknown strategy "nope" (want file-observer or wait-and-see)`; err.Error() != want {
+		t.Errorf("unknown strategy error = %q, want %q", err, want)
 	}
 	if _, err := f.Replay(ReplayRequest{Token: "not-a-token"}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad token: %v, want ErrBadRequest", err)
@@ -358,18 +366,6 @@ func TestDeviceInfoJSONShape(t *testing.T) {
 	}
 }
 
-func TestStoreNamesCoverAllProfiles(t *testing.T) {
-	names := StoreNames()
-	if len(names) != 13 {
-		t.Fatalf("StoreNames() = %d entries, want 13 (every paper store profile): %v", len(names), names)
-	}
-	for _, name := range names {
-		if _, _, err := profileFor(name); err != nil {
-			t.Fatalf("profileFor(%q): %v", name, err)
-		}
-	}
-}
-
 func TestDeriveSeedDisperses(t *testing.T) {
 	seen := make(map[int64]bool)
 	for i := int64(1); i <= 4096; i++ {
@@ -379,11 +375,6 @@ func TestDeriveSeedDisperses(t *testing.T) {
 		}
 		seen[s] = true
 	}
-}
-
-func ExampleStoreNames() {
-	fmt.Println(strings.Join(StoreNames()[:3], ","))
-	// Output: amazon,amazon-v2,apkpure
 }
 
 // TestCreateDeleteReleasesPayloads runs create(+attack)+delete cycles

@@ -15,7 +15,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/ghost-installer/gia/internal/attack"
@@ -53,7 +52,7 @@ func checkPayload(n int) error {
 
 // CreateDeviceRequest configures a new fleet device.
 type CreateDeviceRequest struct {
-	// Store selects the installer profile (see StoreNames); default
+	// Store selects the installer profile (see installer.StoreNames); default
 	// "amazon".
 	Store string `json:"store,omitempty"`
 	// Patched enables the Section V-C FUSE defense on the device.
@@ -143,53 +142,26 @@ type ReplayResult struct {
 	Detail   string `json:"detail,omitempty"`
 }
 
-// storeProfiles maps API store names to installer profiles.
-var storeProfiles = map[string]func() installer.Profile{
-	"amazon":      installer.Amazon,
-	"amazon-v2":   installer.AmazonV2,
-	"xiaomi":      installer.Xiaomi,
-	"baidu":       installer.Baidu,
-	"qihoo360":    installer.Qihoo360,
-	"dtignite":    installer.DTIgnite,
-	"slideme":     installer.SlideMe,
-	"tencent":     installer.Tencent,
-	"huawei":      installer.HuaweiStore,
-	"sprintzone":  installer.SprintZone,
-	"apkpure":     installer.APKPure,
-	"galaxy-apps": installer.GalaxyApps,
-	"googleplay":  installer.GooglePlay,
-}
-
-// StoreNames lists the store profiles the API accepts, sorted.
-func StoreNames() []string {
-	out := make([]string, 0, len(storeProfiles))
-	for name := range storeProfiles {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func profileFor(store string) (string, installer.Profile, error) {
 	if store == "" {
 		store = "amazon"
 	}
-	mk, ok := storeProfiles[store]
-	if !ok {
-		return "", installer.Profile{}, badRequestf("unknown store %q (want one of %v)", store, StoreNames())
+	prof, err := installer.ByName(store)
+	if err != nil {
+		return "", installer.Profile{}, badRequestf("%v", err)
 	}
-	return store, mk(), nil
+	return store, prof, nil
 }
 
 func strategyFor(name string) (attack.Strategy, error) {
-	switch name {
-	case "", "file-observer":
+	if name == "" {
 		return attack.StrategyFileObserver, nil
-	case "wait-and-see":
-		return attack.StrategyWaitAndSee, nil
-	default:
-		return 0, badRequestf("unknown strategy %q (want file-observer or wait-and-see)", name)
 	}
+	strat, err := attack.ParseStrategy(name)
+	if err != nil {
+		return 0, badRequestf("%v", err)
+	}
+	return strat, nil
 }
 
 func badRequestf(format string, args ...any) error {
